@@ -65,7 +65,10 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init", choices=("random", "degree"), default="random",
                    help="label initialization")
     p.add_argument("--coassign", action="store_true",
-                   help="tally pairwise co-assignment (O(n^2) memory)")
+                   help="tally pairwise co-assignment as float64 exact counts "
+                        "(8*n^2 bytes); the report only echoes this setting, "
+                        "the matrix is reachable through "
+                        "mesoscale.coassignment_matrix")
     p.add_argument("--store-labels", action="store_true",
                    help="retain full label snapshots")
 

@@ -116,6 +116,8 @@ class Graph:
             if b > max_id:
                 max_id = b
         n_nodes = max_id + 1 if n is None else n
+        if n_nodes == 0:
+            raise GraphParseError("graph has no nodes")
         if n is not None and max_id >= n:
             raise GraphParseError(f"edge endpoint {max_id} exceeds n={n}")
         if names is None:

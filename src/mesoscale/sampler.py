@@ -9,6 +9,7 @@ Chains are deterministic given (seed, chain_index).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .model import (
 )
 
 INIT_MODES = ("random_labels", "degree_split")
+COASSIGN_BLOCK = 32  # label draws buffered per co-assignment BLAS update
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,11 @@ class ChainConfig:
             raise ValueError("chains must be at least 1")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        if self.retained_per_chain == 0:
+            raise ValueError(
+                f"no draws retained: {self.total_samples - self.burn_in} "
+                f"post-burn-in iterations with thin={self.thin}"
+            )
 
     @property
     def retained_per_chain(self) -> int:
@@ -79,6 +86,7 @@ class PosteriorSamples:
     n_nodes: int
     chain_sizes: tuple[int, ...] = (0,)
     chain_acceptance: tuple[float, ...] = field(default=(), repr=False)
+    # float64 (n, n) exact counts of draws with c_i == c_j; 8*n^2 bytes, opt-in
     coassign_tally: np.ndarray | None = None
     label_draws: np.ndarray | None = None   # (retained, n) snapshots, opt-in
 
@@ -249,6 +257,14 @@ def enforce_identifiability(state: ChainState) -> ChainState:
     return state
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSamples:
     """Run cfg.chains independent chains and pool their retained draws.
 
@@ -272,7 +288,22 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     draws = np.empty((total_retained, 3))
     label_tally = np.zeros(n, dtype=np.int64)
     size_tally = np.zeros(n + 1, dtype=np.int64)
-    coassign = np.zeros((n, n), dtype=np.int64) if cfg.coassign else None
+    coassign = None
+    if cfg.coassign:
+        # C = 2 X^T X - t_i - t_j + R over the 0/1 group-1 indicators X of the
+        # R retained draws; X^T X is accumulated in place, COASSIGN_BLOCK
+        # draws per BLAS call. Sums of 0/1 stay exact in float64.
+        from scipy.linalg.blas import dgemm
+
+        need, have = 8 * n * n, physical_memory()
+        if have is not None and need > have:
+            raise ValueError(
+                f"co-assignment tally needs {need} bytes for n={n}, "
+                f"more than the {have} bytes of physical memory"
+            )
+        coassign = np.zeros((n, n), order="F")
+        block = np.zeros((n, COASSIGN_BLOCK), order="F")
+        filled = 0
     label_draws = (
         np.empty((total_retained, n), dtype=np.int8) if cfg.store_labels else None
     )
@@ -296,7 +327,12 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
                 label_tally += in1
                 size_tally[state.counts.n1] += 1
                 if coassign is not None:
-                    coassign += in1[:, None] == in1[None, :]
+                    block[:, filled] = in1
+                    filled += 1
+                    if filled == COASSIGN_BLOCK:
+                        dgemm(1.0, block, block, beta=1.0, c=coassign,
+                              trans_b=1, overwrite_c=1)
+                        filled = 0
                 if label_draws is not None:
                     label_draws[pos] = state.c
                 pos += 1
@@ -304,6 +340,14 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         chain_acceptance.append(accepted_post / (n * post_sweeps))
 
     assert pos == total_retained
+    if coassign is not None:
+        if filled:
+            x = block[:, :filled]
+            dgemm(1.0, x, x, beta=1.0, c=coassign, trans_b=1, overwrite_c=1)
+        coassign *= 2
+        coassign -= label_tally[:, None]
+        coassign -= label_tally[None, :]
+        coassign += total_retained
     return PosteriorSamples(
         draws=draws,
         label_tally=label_tally,

@@ -84,6 +84,25 @@ class TestAnalyze:
         assert run_cli("analyze", str(path), "--samples", "100",
                        "--burn-in", "200") == 1
 
+    def test_no_retained_draws_is_usage_error(self, capsys):
+        assert run_cli("analyze", "--dataset", "karate", "--samples", "10",
+                       "--burn-in", "5", "--thin", "10") == 1
+        assert "no draws retained" in capsys.readouterr().err
+
+    def test_empty_edge_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert run_cli("analyze", str(path), "--samples", "100",
+                       "--burn-in", "10") == 2
+        assert "no nodes" in capsys.readouterr().err
+
+    def test_coassign_beyond_memory_is_usage_error(self, monkeypatch, capsys):
+        from mesoscale import sampler
+        monkeypatch.setattr(sampler, "physical_memory", lambda: 1024)
+        assert run_cli("analyze", "--dataset", "karate", "--samples", "100",
+                       "--burn-in", "10", "--coassign") == 1
+        assert f"needs {8 * 34 * 34} bytes" in capsys.readouterr().err
+
     def test_parse_error_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0\n")

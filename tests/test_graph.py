@@ -55,6 +55,15 @@ def test_wrong_token_count_rejected_with_line_number():
         parse_edge_list("loner")
 
 
+def test_graph_without_nodes_rejected():
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(GraphParseError, match="no nodes"):
+            parse_edge_list(text)
+    with pytest.raises(GraphParseError, match="no nodes"):
+        Graph.from_edges([])
+    assert Graph.from_edges([], n=4).n == 4  # edgeless but not empty
+
+
 def test_duplicate_edges_collapse_and_are_counted():
     g = parse_edge_list("a b\nb a\na b\nb c")
     assert g.m == 2

@@ -12,7 +12,9 @@ from mesoscale.model import (
     log_likelihood,
     log_prior_labels,
 )
+from mesoscale import sampler
 from mesoscale.sampler import (
+    COASSIGN_BLOCK,
     ChainConfig,
     ChainState,
     chain_rng,
@@ -316,6 +318,58 @@ class TestRunChain:
             ChainConfig(total_samples=100, burn_in=10, thin=0)
         with pytest.raises(ValueError, match="init"):
             ChainConfig(total_samples=100, burn_in=10, init="warmstart")
+        with pytest.raises(ValueError, match="no draws retained"):
+            ChainConfig(total_samples=10, burn_in=5, thin=10)
+
+
+class TestCoassignTally:
+    # (total_samples, burn_in, thin, chains, retained): 300 is not a multiple
+    # of the BLAS block, 30 is below it, 64 fills it exactly twice
+    CONFIGS = [(400, 100, 3, 3, 300), (40, 10, 3, 3, 30),
+               (43, 11, 1, 2, 2 * COASSIGN_BLOCK)]
+
+    @pytest.mark.parametrize("total,burn_in,thin,chains,retained", CONFIGS)
+    def test_matches_recount_from_stored_labels(self, total, burn_in, thin,
+                                                chains, retained):
+        g = load_dataset("karate")
+        h = Hyperparameters.uniform(g.n)
+        s = run_chain(g, h, ChainConfig(total_samples=total, burn_in=burn_in,
+                                        thin=thin, chains=chains, seed=8,
+                                        coassign=True, store_labels=True))
+        assert s.retained == retained
+        recount = np.sum(
+            s.label_draws[:, :, None] == s.label_draws[:, None, :], axis=0
+        )
+        assert np.array_equal(s.coassign_tally, recount)
+
+    def test_leaves_other_outputs_unchanged(self):
+        g = load_dataset("karate")
+        h = Hyperparameters.uniform(g.n)
+        kw = dict(total_samples=300, burn_in=50, thin=2, chains=2, seed=21)
+        with_tally = run_chain(g, h, ChainConfig(coassign=True, **kw))
+        without = run_chain(g, h, ChainConfig(**kw))
+        assert without.coassign_tally is None
+        assert np.array_equal(with_tally.draws, without.draws)
+        assert np.array_equal(with_tally.label_tally, without.label_tally)
+        assert np.array_equal(with_tally.size_tally, without.size_tally)
+        assert with_tally.chain_acceptance == without.chain_acceptance
+
+    def test_refused_before_the_chain_when_memory_is_short(self, monkeypatch):
+        g = path_graph(10)
+        h = Hyperparameters.uniform(10)
+        monkeypatch.setattr(sampler, "physical_memory", lambda: 8 * 10 * 10 - 1)
+        monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
+        with pytest.raises(ValueError, match="needs 800 bytes"):
+            run_chain(g, h, ChainConfig(total_samples=20, burn_in=0,
+                                        coassign=True))
+
+    def test_guard_skipped_when_memory_is_unknown(self, monkeypatch):
+        g = path_graph(10)
+        h = Hyperparameters.uniform(10)
+        monkeypatch.setattr(sampler, "physical_memory", lambda: None)
+        s = run_chain(g, h, ChainConfig(total_samples=20, burn_in=0,
+                                        coassign=True))
+        assert np.all(np.diag(s.coassign_tally) == s.retained)
 
 
 def test_parse_and_run_end_to_end():
