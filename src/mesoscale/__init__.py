@@ -18,7 +18,6 @@ from .model import (
     Hyperparameters,
     block_counts,
     log_likelihood,
-    log_likelihood_delta,
     log_marginal_likelihood,
     log_prior_labels,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "init_chain",
     "label_sweep",
     "log_likelihood",
-    "log_likelihood_delta",
     "log_marginal_likelihood",
     "log_prior_labels",
     "membership_probabilities",

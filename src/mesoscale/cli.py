@@ -69,8 +69,6 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
                         "(8*n^2 bytes); the report only echoes this setting, "
                         "the matrix is reachable through "
                         "mesoscale.coassignment_matrix")
-    p.add_argument("--store-labels", action="store_true",
-                   help="retain full label snapshots")
 
 
 def _load_graph(args) -> tuple[Graph, str]:
@@ -114,7 +112,6 @@ def _chain_from_args(args) -> ChainConfig:
         init="random_labels" if args.init == "random" else "degree_split",
         chains=args.chains,
         coassign=args.coassign,
-        store_labels=args.store_labels,
     )
 
 

@@ -1,4 +1,4 @@
-"""Simple undirected graph parsing, validation, and adjacency queries.
+"""Simple undirected graph parsing and validation.
 
 Graphs are read from whitespace-separated edge-list text. Node names are
 arbitrary tokens; internal ids are assigned in first-appearance order and
@@ -7,7 +7,6 @@ all reporting translates back to the external names.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 
@@ -37,7 +36,6 @@ class Graph:
     m: int
     adjacency: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
-    ids: dict[str, int] = field(repr=False)
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics, repr=False)
 
     def __eq__(self, other: object) -> bool:
@@ -60,20 +58,6 @@ class Graph:
             frozenset((self.names[i], self.names[j])) for i, j in self.edges()
         )
 
-    def degree(self, i: int) -> int:
-        self._check_id(i)
-        return len(self.adjacency[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        """Symmetric adjacency test; always False on the diagonal."""
-        self._check_id(i)
-        self._check_id(j)
-        if i == j:
-            return False
-        adj = self.adjacency[i]
-        k = bisect_left(adj, j)
-        return k < len(adj) and adj[k] == j
-
     def edges(self):
         """All edges as (i, j) internal-id pairs with i < j, sorted."""
         for i in range(self.n):
@@ -89,10 +73,6 @@ class Graph:
         """
         lines = [f"{self.names[i]} {self.names[j]}" for i, j in self.edges()]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def _check_id(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise ValueError(f"node id {i} out of range for graph with n={self.n}")
 
     @staticmethod
     def from_edges(
@@ -115,26 +95,26 @@ class Graph:
             edge_set.add((a, b))
             if b > max_id:
                 max_id = b
-        n_nodes = max_id + 1 if n is None else n
-        if n_nodes == 0:
+        if n is None:
+            n = max_id + 1
+        if n == 0:
             raise GraphParseError("graph has no nodes")
-        if n is not None and max_id >= n:
+        if max_id >= n:
             raise GraphParseError(f"edge endpoint {max_id} exceeds n={n}")
         if names is None:
-            names = [str(i) for i in range(n_nodes)]
-        if len(names) != n_nodes:
-            raise GraphParseError(f"expected {n_nodes} names, got {len(names)}")
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
+            names = [str(i) for i in range(n)]
+        if len(names) != n:
+            raise GraphParseError(f"expected {n} names, got {len(names)}")
+        adj: list[list[int]] = [[] for _ in range(n)]
         for a, b in edge_set:
             adj[a].append(b)
             adj[b].append(a)
         adjacency = tuple(tuple(sorted(nb)) for nb in adj)
         return Graph(
-            n=n_nodes,
+            n=n,
             m=len(edge_set),
             adjacency=adjacency,
             names=tuple(names),
-            ids={name: i for i, name in enumerate(names)},
             diagnostics=diagnostics or ParseDiagnostics(),
         )
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import betainc, logsumexp
-from scipy.stats import beta as beta_dist
 
 from .graph import Graph
 from .model import (
@@ -165,6 +163,10 @@ def _ordering_probabilities(
     independently, so the ordering probabilities reduce to one-dimensional
     integrals over the density of p12.
     """
+    # imported here so that only the oracle pays for these scipy submodules
+    from scipy.integrate import simpson
+    from scipy.stats import beta as beta_dist
+
     a11 = counts.M11 + h.a0_11
     b11 = counts.m11 - counts.M11 + h.b0_11
     a12 = counts.M12 + h.a0_12
@@ -200,6 +202,10 @@ def exact_structure_posterior(
         raise ValueError("exact enumeration requires block-symmetric hyperparameters")
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
+    if quadrature_points < 3:
+        raise ValueError(
+            f"quadrature_points must be at least 3, got {quadrature_points}"
+        )
 
     x = np.linspace(0.0, 1.0, quadrature_points)
     log_weights = np.empty(2 ** g.n)

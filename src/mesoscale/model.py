@@ -64,10 +64,10 @@ class Hyperparameters:
     def __post_init__(self):
         shapes = (self.a0_11, self.b0_11, self.a0_12,
                   self.b0_12, self.a0_22, self.b0_22)
-        if any(s <= 0 for s in shapes):
-            raise ValueError("Beta shape parameters must be strictly positive")
+        if not all(0 < s < math.inf for s in shapes):  # also rejects nan
+            raise ValueError("Beta shape parameters must be finite and positive")
         pi = np.asarray(self.pi, dtype=float)
-        if np.any(pi <= 0) or np.any(pi >= 1):
+        if not np.all((pi > 0) & (pi < 1)):  # also rejects nan
             raise ValueError("label prior probabilities must lie strictly in (0, 1)")
         object.__setattr__(self, "pi", pi)
 
@@ -129,51 +129,6 @@ def log_likelihood(counts: BlockCounts, p: BlockProbs) -> float:
         + _bernoulli_block_term(counts.M12, counts.m12, p.p12)
         + _bernoulli_block_term(counts.M22, counts.m22, p.p22)
     )
-
-
-def flip_counts(g: Graph, c: np.ndarray, counts: BlockCounts, i: int) -> BlockCounts:
-    """Counts after flipping node i's label, touching only i's incident pairs."""
-    if not 0 <= i < g.n:
-        raise ValueError(f"node id {i} out of range for graph with n={g.n}")
-    d1 = 0
-    for j in g.adjacency[i]:
-        if c[j] == 1:
-            d1 += 1
-    d2 = len(g.adjacency[i]) - d1
-    if c[i] == 1:
-        n1, n2 = counts.n1 - 1, counts.n2 + 1
-        M11, M12, M22 = counts.M11 - d1, counts.M12 + d1 - d2, counts.M22 + d2
-    else:
-        n1, n2 = counts.n1 + 1, counts.n2 - 1
-        M11, M12, M22 = counts.M11 + d1, counts.M12 + d2 - d1, counts.M22 - d2
-    return BlockCounts(
-        M11=M11, M12=M12, M22=M22,
-        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
-        n1=n1, n2=n2,
-    )
-
-
-def log_likelihood_delta(
-    g: Graph, c: np.ndarray, counts: BlockCounts, p: BlockProbs, i: int
-) -> tuple[float, BlockCounts]:
-    """Change in log likelihood from flipping node i, plus the updated counts.
-
-    Only node i's incident pairs enter the difference: O(n) per call, never a
-    full O(n^2) recompute. ``counts`` must equal block_counts(g, c).
-    """
-    new_counts = flip_counts(g, c, counts, i)
-    # contributions of pairs not involving i cancel in the difference
-    old = (
-        _bernoulli_block_term(counts.M11, counts.m11, p.p11)
-        + _bernoulli_block_term(counts.M12, counts.m12, p.p12)
-        + _bernoulli_block_term(counts.M22, counts.m22, p.p22)
-    )
-    new = (
-        _bernoulli_block_term(new_counts.M11, new_counts.m11, p.p11)
-        + _bernoulli_block_term(new_counts.M12, new_counts.m12, p.p12)
-        + _bernoulli_block_term(new_counts.M22, new_counts.m22, p.p22)
-    )
-    return new - old, new_counts
 
 
 def log_prior_labels(c: np.ndarray, h: Hyperparameters) -> float:

@@ -50,7 +50,6 @@ def _chain_dict(cfg: ChainConfig) -> dict:
         "init": cfg.init,
         "chains": cfg.chains,
         "coassign": cfg.coassign,
-        "store_labels": cfg.store_labels,
     }
 
 

@@ -21,7 +21,6 @@ from .model import (
     BlockProbs,
     Hyperparameters,
     block_counts,
-    log_likelihood,
 )
 
 INIT_MODES = ("random_labels", "degree_split")
@@ -37,7 +36,6 @@ class ChainConfig:
     init: str = "random_labels"
     chains: int = 1
     coassign: bool = False
-    store_labels: bool = False
 
     def __post_init__(self):
         if self.total_samples <= 0:
@@ -66,12 +64,11 @@ class ChainConfig:
 
 @dataclass
 class ChainState:
-    """One MCMC state; counts and log_lik are caches kept consistent with (c, p)."""
+    """One MCMC state; counts is a cache kept consistent with c."""
 
     c: np.ndarray
     p: BlockProbs
     counts: BlockCounts
-    log_lik: float
 
 
 @dataclass
@@ -83,12 +80,10 @@ class PosteriorSamples:
     size_tally: np.ndarray                  # histogram over n1 in 0..n
     swap_acceptance_rate: float             # accepted swaps / proposals, post-burn-in
     retained: int
-    n_nodes: int
     chain_sizes: tuple[int, ...] = (0,)
     chain_acceptance: tuple[float, ...] = field(default=(), repr=False)
     # float64 (n, n) exact counts of draws with c_i == c_j; 8*n^2 bytes, opt-in
     coassign_tally: np.ndarray | None = None
-    label_draws: np.ndarray | None = None   # (retained, n) snapshots, opt-in
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -120,8 +115,7 @@ def init_chain(
     else:
         degrees = np.array([len(adj) for adj in g.adjacency])
         c = np.where(degrees >= np.median(degrees), 1, 2).astype(np.int64)
-    counts = block_counts(g, c)
-    return ChainState(c=c, p=p, counts=counts, log_lik=log_likelihood(counts, p))
+    return ChainState(c=c, p=p, counts=block_counts(g, c))
 
 
 def _log_or_ninf(x: float) -> float:
@@ -209,7 +203,6 @@ def label_sweep(
         m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
         n1=n1, n2=n2,
     )
-    state.log_lik = log_likelihood(state.counts, state.p)
     return state, accepted
 
 
@@ -244,7 +237,6 @@ def gibbs_update_probs(
         p12=float(rng.beta(counts.M12 + h.a0_12, counts.m12 - counts.M12 + h.b0_12)),
         p22=float(rng.beta(counts.M22 + h.a0_22, counts.m22 - counts.M22 + h.b0_22)),
     )
-    state.log_lik = log_likelihood(state.counts, state.p)
     return state
 
 
@@ -304,9 +296,6 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         coassign = np.zeros((n, n), order="F")
         block = np.zeros((n, COASSIGN_BLOCK), order="F")
         filled = 0
-    label_draws = (
-        np.empty((total_retained, n), dtype=np.int8) if cfg.store_labels else None
-    )
     chain_acceptance = []
     pos = 0
 
@@ -333,8 +322,6 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
                         dgemm(1.0, block, block, beta=1.0, c=coassign,
                               trans_b=1, overwrite_c=1)
                         filled = 0
-                if label_draws is not None:
-                    label_draws[pos] = state.c
                 pos += 1
         post_sweeps = cfg.total_samples - cfg.burn_in
         chain_acceptance.append(accepted_post / (n * post_sweeps))
@@ -354,9 +341,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         size_tally=size_tally,
         swap_acceptance_rate=float(np.mean(chain_acceptance)),
         retained=total_retained,
-        n_nodes=n,
         chain_sizes=(retained_per_chain,) * cfg.chains,
         chain_acceptance=tuple(chain_acceptance),
         coassign_tally=coassign,
-        label_draws=label_draws,
     )

@@ -20,6 +20,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         n1, n2 = self.sizes
         if n1 < 0 or n2 < 0 or n1 + n2 != self.n:
             raise ValueError(f"sizes {self.sizes} must be nonnegative and sum to n={self.n}")
@@ -97,14 +99,6 @@ def replicate_seeds(seed: int, grid_index: int, replicate: int) -> tuple[int, in
     gen = int(np.random.SeedSequence([seed, grid_index, replicate, 0]).generate_state(1)[0])
     fit = int(np.random.SeedSequence([seed, grid_index, replicate, 1]).generate_state(1)[0])
     return gen, fit
-
-
-def label_recovery(membership: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of nodes whose posterior-majority group matches the truth,
-    up to a global flip of the two group names."""
-    majority = np.where(membership >= 0.5, 1, 2)
-    agree = float(np.mean(majority == truth))
-    return max(agree, 1.0 - agree)
 
 
 def run_sweep(

@@ -103,6 +103,14 @@ class TestAnalyze:
                        "--burn-in", "10", "--coassign") == 1
         assert f"needs {8 * 34 * 34} bytes" in capsys.readouterr().err
 
+    def test_non_finite_prior_is_usage_error(self, monkeypatch, capsys):
+        from mesoscale import sampler
+        monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
+        for flag, value in (("--pi", "nan"), ("--a0", "nan"), ("--a0", "inf")):
+            assert run_cli("analyze", "--dataset", "karate", "--samples", "100",
+                           "--burn-in", "10", flag, value) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_parse_error_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0\n")
@@ -157,6 +165,10 @@ class TestGenerate:
                        "--p12", "0.1", "--p22", "0.1",
                        "--out", str(tmp_path / "x")) == 1
 
+    def test_zero_nodes_is_usage_error(self, tmp_path):
+        assert run_cli("generate", "--n", "0", "--p11", "0.5", "--p12", "0.5",
+                       "--p22", "0.5", "--out", str(tmp_path / "w")) == 1
+
     def test_sizes_override(self, tmp_path):
         assert run_cli("generate", "--n", "10", "--sizes", "3,7",
                        "--p11", "1.0", "--p12", "1.0", "--p22", "1.0",
@@ -199,6 +211,11 @@ class TestSimulate:
         assert raw_lines[0] == "p12,replicate,p_assortative,p_cp,p_disassortative"
         assert len(raw_lines) == 1 + 2 * 2
 
+    def test_zero_nodes_is_usage_error(self):
+        assert run_cli("simulate", "--n", "0", "--grid", "0.1",
+                       "--replicates", "1", "--samples", "50",
+                       "--burn-in", "10") == 1
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "0.3:0.1", "--replicates", "1",
                        "--samples", "50", "--burn-in", "10") == 1
@@ -213,6 +230,12 @@ class TestOracle:
         v = json.loads(out.read_text())["verdict"]
         total = v["p_assortative"] + v["p_core_periphery"] + v["p_disassortative"]
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_too_few_quadrature_points_is_usage_error(self, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        for points in ("0", "1"):
+            assert run_cli("oracle", str(path), "--quad-points", points) == 1
 
     def test_large_graph_refused(self, tmp_path):
         path = tmp_path / "big.txt"
@@ -250,3 +273,14 @@ def test_cli_entry_point_help():
     assert proc.returncode == 0
     for sub in ("analyze", "generate", "simulate", "oracle"):
         assert sub in proc.stdout
+
+
+def test_cli_import_leaves_out_oracle_only_scipy_modules():
+    # only the oracle's quadrature needs these; importing them costs ~1 s
+    code = ("import sys, mesoscale.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

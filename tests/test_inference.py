@@ -30,7 +30,7 @@ from mesoscale.synth import GeneratorSpec, generate_sbm
 
 
 def samples_from_draws(draws, n_nodes=4, label_tally=None, size_tally=None,
-                       coassign=None, label_draws=None):
+                       coassign=None):
     draws = np.asarray(draws, dtype=float)
     r = len(draws)
     return PosteriorSamples(
@@ -41,10 +41,8 @@ def samples_from_draws(draws, n_nodes=4, label_tally=None, size_tally=None,
         if size_tally is None else np.asarray(size_tally),
         swap_acceptance_rate=0.5,
         retained=r,
-        n_nodes=n_nodes,
         chain_sizes=(r,),
         coassign_tally=coassign,
-        label_draws=label_draws,
     )
 
 
@@ -126,17 +124,14 @@ class TestCoassignment:
         with pytest.raises(ValueError, match="--coassign"):
             coassignment_matrix(s)
 
-    def test_matches_recount_from_stored_labels(self):
+    def test_matches_recount_from_stored_labels(self, run_recording_labels):
         g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
                                           p=BlockProbs(0.9, 0.1, 0.7), seed=2))
         h = Hyperparameters.uniform(6)
-        cfg = ChainConfig(total_samples=1200, burn_in=200, seed=6,
-                          coassign=True, store_labels=True)
-        s = run_chain(g, h, cfg)
+        cfg = ChainConfig(total_samples=1200, burn_in=200, seed=6, coassign=True)
+        s, c = run_recording_labels(g, h, cfg)
         mat = coassignment_matrix(s)
-        recount = np.mean(
-            s.label_draws[:, :, None] == s.label_draws[:, None, :], axis=0
-        )
+        recount = np.mean(c[:, :, None] == c[:, None, :], axis=0)
         assert np.array_equal(mat, recount)
         assert np.allclose(mat, mat.T)
         assert np.all(np.diag(mat) == 1.0)
@@ -157,15 +152,15 @@ class TestGroupSizePosterior:
         s = run_chain(g, h, ChainConfig(total_samples=900, burn_in=100, seed=3))
         assert group_size_posterior(s).sum() == pytest.approx(1.0)
 
-    def test_mean_matches_recount_from_stored_labels(self):
+    def test_mean_matches_recount_from_stored_labels(self, run_recording_labels):
         g, _ = generate_sbm(GeneratorSpec(n=7, sizes=(3, 4),
                                           p=BlockProbs(0.8, 0.2, 0.5), seed=9))
         h = Hyperparameters.uniform(7)
-        s = run_chain(g, h, ChainConfig(total_samples=700, burn_in=100, seed=9,
-                                        store_labels=True))
+        s, c = run_recording_labels(g, h, ChainConfig(total_samples=700,
+                                                      burn_in=100, seed=9))
         hist = group_size_posterior(s)
         mean_from_hist = float(np.arange(8) @ hist)
-        mean_from_labels = float(np.mean((s.label_draws == 1).sum(axis=1)))
+        mean_from_labels = float(np.mean((c == 1).sum(axis=1)))
         assert mean_from_hist == pytest.approx(mean_from_labels, rel=1e-12)
 
 
@@ -239,6 +234,13 @@ class TestExactStructurePosterior:
         h = Hyperparameters.uniform(16)
         with pytest.raises(ValueError, match="n <= 14"):
             exact_structure_posterior(g, h)
+
+    def test_refuses_too_few_quadrature_points(self):
+        g = Graph.from_edges([(0, 1)])
+        h = Hyperparameters.uniform(2)
+        for points in (0, 1, 2):
+            with pytest.raises(ValueError, match="at least 3"):
+                exact_structure_posterior(g, h, quadrature_points=points)
 
     def test_refuses_asymmetric_hyperparameters(self):
         g = Graph.from_edges([(0, 1)])

@@ -14,10 +14,11 @@ from mesoscale.model import (
     Hyperparameters,
     block_counts,
     log_likelihood,
-    log_likelihood_delta,
     log_marginal_likelihood,
     log_prior_labels,
 )
+from mesoscale.sampler import _guarded_delta, _log1m_or_ninf, _log_or_ninf
+from mesoscale.synth import GeneratorSpec, generate_sbm
 
 
 def labels(*entries):
@@ -115,56 +116,62 @@ class TestLogLikelihood:
             )
 
 
-def random_graph_labels_probs(rng, n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mask = rng.random(len(pairs)) < 0.4
-    edges = [pairs[k] for k in np.nonzero(mask)[0]]
-    g = Graph.from_edges(edges, n=n)
-    c = rng.integers(1, 3, size=n).astype(np.int64)
-    p = BlockProbs(*(rng.uniform(0.05, 0.95, size=3).tolist()))
-    return g, c, p
+def flip_delta(g, c, p, h, i):
+    """Log-target change from flipping node i, as label_sweep's guarded path
+    computes it: _guarded_delta over i's incident pairs plus the prior term."""
+    counts = block_counts(g, c)
+    d1 = sum(int(c[j] == 1) for j in g.adjacency[i])
+    d2 = len(g.adjacency[i]) - d1
+    logs = [f(q) for q in p for f in (_log_or_ninf, _log1m_or_ninf)]
+    lpi1, lpi2 = math.log(h.pi[i]), math.log1p(-h.pi[i])
+    prior = lpi2 - lpi1 if c[i] == 1 else lpi1 - lpi2
+    return _guarded_delta(c[i] == 1, d1, d2, counts.n1, counts.n2, *logs) + prior
+
+
+def log_target(g, c, p, h):
+    return log_likelihood(block_counts(g, c), p) + log_prior_labels(c, h)
 
 
 class TestLogLikelihoodDelta:
     def test_two_nodes_no_edges(self):
         g = Graph.from_edges([], n=2)
-        c = labels(1, 2)
-        counts = block_counts(g, c)
-        p = BlockProbs(0.3, 0.6, 0.2)
-        delta, new_counts = log_likelihood_delta(g, c, counts, p, 1)
+        h = Hyperparameters.uniform(2)
+        delta = flip_delta(g, labels(1, 2), BlockProbs(0.3, 0.6, 0.2), h, 1)
         assert delta == pytest.approx(math.log1p(-0.3) - math.log1p(-0.6))
-        assert new_counts == BlockCounts(M11=0, M12=0, M22=0,
-                                         m11=1, m12=0, m22=0, n1=2, n2=0)
 
     def test_uniform_p_gives_zero_delta(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+        h = Hyperparameters.uniform(4)
         c = labels(1, 2, 1, 2)
-        counts = block_counts(g, c)
         for i in range(4):
-            delta, _ = log_likelihood_delta(g, c, counts,
-                                            BlockProbs(0.5, 0.5, 0.5), i)
+            delta = flip_delta(g, c, BlockProbs(0.5, 0.5, 0.5), h, i)
             assert delta == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_full_recompute_randomized(self):
+        """Each p_ij is 0, 1 or uniform; the graph is drawn from p with the
+        current labels as blocks, so the current state is always possible."""
         rng = np.random.default_rng(123)
-        for _ in range(200):
-            g, c, p = random_graph_labels_probs(rng, 12)
-            counts = block_counts(g, c)
-            i = int(rng.integers(0, g.n))
-            delta, new_counts = log_likelihood_delta(g, c, counts, p, i)
+        for seed in range(300):
+            p = BlockProbs(*(float(rng.choice([0.0, 1.0, rng.uniform()]))
+                             for _ in range(3)))
+            n1 = int(rng.integers(0, 13))
+            g, c = generate_sbm(GeneratorSpec(n=12, sizes=(n1, 12 - n1), p=p,
+                                              seed=seed))
+            h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1,
+                                b0_22=1, pi=rng.uniform(0.05, 0.95, size=12))
+            i = int(rng.integers(0, 12))
             flipped = c.copy()
             flipped[i] = 3 - flipped[i]
-            recomputed = block_counts(g, flipped)
-            assert new_counts == recomputed
-            full = log_likelihood(recomputed, p) - log_likelihood(counts, p)
-            assert delta == pytest.approx(full, rel=1e-9, abs=1e-12)
+            full = log_target(g, flipped, p, h) - log_target(g, c, p, h)
+            assert flip_delta(g, c, p, h, i) == pytest.approx(
+                full, rel=1e-9, abs=1e-12)
 
-    def test_out_of_range_node(self):
-        g = Graph.from_edges([(0, 1)])
-        c = labels(1, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            log_likelihood_delta(g, c, block_counts(g, c),
-                                 BlockProbs(0.5, 0.5, 0.5), 2)
+    def test_impossible_both_ways_rejects(self):
+        # edge (0, 1) is inside group 1 now and would cross after the flip
+        g = Graph.from_edges([(0, 1)], n=3)
+        h = Hyperparameters.uniform(3)
+        delta = flip_delta(g, labels(1, 1, 2), BlockProbs(0.0, 0.0, 0.5), h, 0)
+        assert delta == -math.inf
 
 
 class TestLogPriorLabels:
@@ -248,13 +255,15 @@ class TestLogMarginalLikelihood:
 
 class TestHyperparameters:
     def test_rejects_nonpositive_shapes(self):
-        with pytest.raises(ValueError, match="positive"):
-            Hyperparameters.uniform(3, a0=0.0)
+        for a0 in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                Hyperparameters.uniform(3, a0=a0)
 
     def test_rejects_degenerate_pi(self):
-        with pytest.raises(ValueError, match="strictly"):
-            Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
-                            a0_22=1, b0_22=1, pi=np.array([0.5, 1.0]))
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="strictly"):
+                Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
+                                a0_22=1, b0_22=1, pi=np.array([0.5, bad]))
 
     def test_block_symmetry_flag(self):
         assert Hyperparameters.uniform(3).block_symmetric()

@@ -7,7 +7,6 @@ from mesoscale.synth import (
     GeneratorSpec,
     SweepSpec,
     generate_sbm,
-    label_recovery,
     run_sweep,
     sweep_table_csv,
 )
@@ -60,21 +59,12 @@ class TestGenerateSbm:
             assert abs(counts[:, col].mean() - m * q) < 3 * se
 
     def test_size_validation(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            GeneratorSpec(n=0, sizes=(0, 0), p=BlockProbs(0.1, 0.1, 0.1))
         with pytest.raises(ValueError, match="sum to n"):
             GeneratorSpec(n=10, sizes=(4, 5), p=BlockProbs(0.1, 0.1, 0.1))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             GeneratorSpec(n=10, sizes=(4, 6), p=BlockProbs(1.2, 0.1, 0.1))
-
-
-class TestLabelRecovery:
-    def test_perfect_recovery_up_to_flip(self):
-        truth = np.array([1, 1, 2, 2])
-        assert label_recovery(np.array([0.9, 0.8, 0.1, 0.2]), truth) == 1.0
-        assert label_recovery(np.array([0.1, 0.2, 0.9, 0.8]), truth) == 1.0
-
-    def test_half_when_uninformative(self):
-        truth = np.array([1, 2, 1, 2])
-        assert label_recovery(np.array([0.9, 0.9, 0.1, 0.1]), truth) == 0.5
 
 
 @pytest.fixture(scope="module")
