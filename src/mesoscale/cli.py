@@ -71,6 +71,17 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
                         "mesoscale.coassignment_matrix")
 
 
+def _bins(text: str) -> int:
+    """--bins, checked here so that a bad value fails before any sampling."""
+    try:
+        bins = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bins < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {bins}")
+    return bins
+
+
 def _load_graph(args) -> tuple[Graph, str]:
     if args.dataset and args.path:
         raise ValueError("give either a path or --dataset, not both")
@@ -232,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_prior_args(p)
     _add_chain_args(p)
-    p.add_argument("--bins", type=int, default=50, help="density histogram bins")
+    p.add_argument("--bins", type=_bins, default=50,
+                   help="density histogram bins (at least 2)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--emit-traces", metavar="FILE",
@@ -292,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, FloatingPointError) as exc:

@@ -198,8 +198,6 @@ def exact_structure_posterior(
             f"exact enumeration is limited to n <= {ENUMERATION_LIMIT} nodes "
             f"(got n={g.n})"
         )
-    if not h.block_symmetric():
-        raise ValueError("exact enumeration requires block-symmetric hyperparameters")
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
     if quadrature_points < 3:

@@ -78,8 +78,10 @@ class Hyperparameters:
                    pi=np.full(n, pi))
 
     def block_symmetric(self) -> bool:
-        """Whether exchanging group names leaves the prior unchanged."""
-        return (self.a0_11, self.b0_11) == (self.a0_22, self.b0_22)
+        """Whether exchanging group names leaves the prior unchanged: equal
+        within-block Beta shapes and pi = 0.5 for every node."""
+        return ((self.a0_11, self.b0_11) == (self.a0_22, self.b0_22)
+                and bool(np.all(self.pi == 0.5)))
 
 
 def block_counts(g: Graph, c: np.ndarray) -> BlockCounts:

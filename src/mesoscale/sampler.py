@@ -4,6 +4,12 @@ Each iteration runs a Metropolis label sweep over all nodes in fresh random
 order, a conjugate Gibbs draw for the three block probabilities, and a
 relabeling pass that enforces the p11 >= p22 identifiability convention.
 Chains are deterministic given (seed, chain_index).
+
+The Beta prior keeps every block probability strictly inside (0, 1), but a
+Beta draw can round to exactly 0 or 1. So the label sweep takes its logs from
+p clamped to [P_FLOOR, P_CEIL], the nearest floats inside (0, 1): every log is
+finite and one delta expression serves every state. ChainState.p is stored
+unclamped.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .model import (
 
 INIT_MODES = ("random_labels", "degree_split")
 COASSIGN_BLOCK = 32  # label draws buffered per co-assignment BLAS update
+P_FLOOR, P_CEIL = math.ulp(0.0), math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -118,12 +125,10 @@ def init_chain(
     return ChainState(c=c, p=p, counts=block_counts(g, c))
 
 
-def _log_or_ninf(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _log1m_or_ninf(x: float) -> float:
-    return math.log1p(-x) if x < 1.0 else -math.inf
+def _logs(q: float) -> tuple[float, float]:
+    """log q and log(1 - q) at q clamped into [P_FLOOR, P_CEIL]."""
+    q = min(max(q, P_FLOOR), P_CEIL)
+    return math.log(q), math.log1p(-q)
 
 
 def label_sweep(
@@ -133,14 +138,15 @@ def label_sweep(
 
     Each node's label flip is accepted with min(1, likelihood ratio x prior
     ratio); counts are updated incrementally from the node's incident pairs.
+    The ratio is taken at p clamped into [P_FLOOR, P_CEIL] (module docstring);
+    a flip impossible at a p of exactly 0 or 1 then costs about 744 per edge
+    at p = 0 or 36.7 per non-edge at p = 1, so it is all but never accepted.
     Mutates ``state`` in place and returns it with the accepted-swap count.
     """
     n = g.n
-    p11, p12, p22 = state.p
-    lp11, l1m11 = _log_or_ninf(p11), _log1m_or_ninf(p11)
-    lp12, l1m12 = _log_or_ninf(p12), _log1m_or_ninf(p12)
-    lp22, l1m22 = _log_or_ninf(p22), _log1m_or_ninf(p22)
-    fast = all(map(math.isfinite, (lp11, l1m11, lp12, l1m12, lp22, l1m22)))
+    lp11, l1m11 = _logs(state.p.p11)
+    lp12, l1m12 = _logs(state.p.p12)
+    lp22, l1m22 = _logs(state.p.p22)
 
     lpi1 = np.log(h.pi).tolist()
     lpi2 = np.log1p(-h.pi).tolist()
@@ -162,24 +168,18 @@ def label_sweep(
         for j in adj:
             d1 += ing1[j]
         d2 = len(adj) - d1
-        if fast:
-            if ing1[i]:
-                delta = (
-                    d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
-                    + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
-                    + lpi2[i] - lpi1[i]
-                )
-            else:
-                delta = (
-                    d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
-                    + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
-                    + lpi1[i] - lpi2[i]
-                )
+        if ing1[i]:
+            delta = (
+                d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
+                + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
+                + lpi2[i] - lpi1[i]
+            )
         else:
-            delta = _guarded_delta(
-                ing1[i], d1, d2, n1, n2,
-                lp11, l1m11, lp12, l1m12, lp22, l1m22,
-            ) + (lpi2[i] - lpi1[i] if ing1[i] else lpi1[i] - lpi2[i])
+            delta = (
+                d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
+                + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
+                + lpi1[i] - lpi2[i]
+            )
         if delta >= 0.0 or us[k] < math.exp(delta):
             accepted += 1
             if ing1[i]:
@@ -204,27 +204,6 @@ def label_sweep(
         n1=n1, n2=n2,
     )
     return state, accepted
-
-
-def _guarded_delta(in1, d1, d2, n1, n2, lp11, l1m11, lp12, l1m12, lp22, l1m22):
-    """Flip delta with 0 * (-inf) treated as 0; nan (impossible both ways) rejects."""
-
-    def term(k, logp):
-        return k * logp if k else 0.0
-
-    if in1:
-        old = (term(d1, lp11) + term(n1 - 1 - d1, l1m11)
-               + term(d2, lp12) + term(n2 - d2, l1m12))
-        new = (term(d1, lp12) + term(n1 - 1 - d1, l1m12)
-               + term(d2, lp22) + term(n2 - d2, l1m22))
-    else:
-        old = (term(d2, lp22) + term(n2 - 1 - d2, l1m22)
-               + term(d1, lp12) + term(n1 - d1, l1m12))
-        new = (term(d2, lp12) + term(n2 - 1 - d2, l1m12)
-               + term(d1, lp11) + term(n1 - d1, l1m11))
-    if old == new:  # covers -inf -> -inf and exact ties
-        return 0.0 if math.isfinite(old) else -math.inf
-    return new - old
 
 
 def gibbs_update_probs(
@@ -269,8 +248,9 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     if not h.block_symmetric():
         warnings.warn(
             "hyperparameters are not block-symmetric: (a0_11, b0_11) != "
-            "(a0_22, b0_22); the identifiability relabeling assumes symmetric "
-            "block priors, so results may be biased",
+            "(a0_22, b0_22) or some pi != 0.5; the identifiability relabeling "
+            "assumes a prior unchanged by exchanging the groups, so results "
+            "may be biased",
             stacklevel=2,
         )
     n = g.n

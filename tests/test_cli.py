@@ -111,6 +111,24 @@ class TestAnalyze:
                            "--burn-in", "10", flag, value) == 1
             assert "error:" in capsys.readouterr().err
 
+    def test_too_few_bins_is_usage_error(self, monkeypatch, capsys):
+        from mesoscale import sampler
+        monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
+        for bins in ("1", "0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("analyze", "--dataset", "karate", "--samples", "100",
+                        "--burn-in", "10", "--bins", bins)
+            assert exc.value.code == 1
+            assert "--bins: must be at least 2" in capsys.readouterr().err
+
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        for flag in ("--out", "--emit-traces", "--emit-densities"):
+            assert run_cli("analyze", "--dataset", "karate", "--samples", "30",
+                           "--burn-in", "10", flag, str(missing / "r.csv")) == 1
+            assert capsys.readouterr().err.startswith("error:")
+        assert not missing.exists()
+
     def test_parse_error_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0\n")
@@ -143,6 +161,11 @@ class TestAnalyze:
 
 
 class TestGenerate:
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("generate", "--n", "10", "--p11", "0.5", "--p12", "0.1",
+                       "--p22", "0.5", "--out", str(tmp_path / "missing" / "net")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_writes_reproducible_files(self, tmp_path):
         args = ("generate", "--n", "100", "--frac", "0.4", "--p11", "0.20",
                 "--p12", "0.15", "--p22", "0.10", "--seed", "7",

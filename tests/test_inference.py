@@ -242,12 +242,24 @@ class TestExactStructurePosterior:
             with pytest.raises(ValueError, match="at least 3"):
                 exact_structure_posterior(g, h, quadrature_points=points)
 
-    def test_refuses_asymmetric_hyperparameters(self):
-        g = Graph.from_edges([(0, 1)])
-        h = Hyperparameters(a0_11=2, b0_11=1, a0_12=1, b0_12=1,
-                            a0_22=1, b0_22=1, pi=np.full(2, 0.5))
-        with pytest.raises(ValueError, match="block-symmetric"):
-            exact_structure_posterior(g, h)
+    def test_asymmetric_prior_is_invariant_to_exchanging_groups(self):
+        """Enumeration needs no prior symmetry. Exchanging the groups' Beta
+        shapes and replacing pi by 1 - pi describes the same prior under
+        swapped names, so the verdict must not change."""
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], n=6)
+        pi = np.array([0.2, 0.3, 0.5, 0.6, 0.8, 0.4])
+        h = Hyperparameters(a0_11=3, b0_11=1, a0_12=1, b0_12=2,
+                            a0_22=0.5, b0_22=2, pi=pi)
+        swapped = Hyperparameters(a0_11=0.5, b0_11=2, a0_12=1, b0_12=2,
+                                  a0_22=3, b0_22=1, pi=1 - pi)
+        v = exact_structure_posterior(g, h, quadrature_points=257)
+        assert sum(v.as_tuple()) == pytest.approx(1.0, abs=1e-8)
+        assert v.as_tuple() == pytest.approx(
+            exact_structure_posterior(g, swapped, quadrature_points=257).as_tuple(),
+            abs=1e-10)
+        flat = exact_structure_posterior(g, Hyperparameters.uniform(6),
+                                         quadrature_points=257)
+        assert abs(v.p_assortative - flat.p_assortative) > 0.01
 
     def test_triangle_probabilities_sum_to_one(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])

@@ -17,7 +17,7 @@ from mesoscale.model import (
     log_marginal_likelihood,
     log_prior_labels,
 )
-from mesoscale.sampler import _guarded_delta, _log1m_or_ninf, _log_or_ninf
+from mesoscale.sampler import ChainState, label_sweep
 from mesoscale.synth import GeneratorSpec, generate_sbm
 
 
@@ -116,16 +116,60 @@ class TestLogLikelihood:
             )
 
 
-def flip_delta(g, c, p, h, i):
-    """Log-target change from flipping node i, as label_sweep's guarded path
-    computes it: _guarded_delta over i's incident pairs plus the prior term."""
-    counts = block_counts(g, c)
-    d1 = sum(int(c[j] == 1) for j in g.adjacency[i])
-    d2 = len(g.adjacency[i]) - d1
-    logs = [f(q) for q in p for f in (_log_or_ninf, _log1m_or_ninf)]
-    lpi1, lpi2 = math.log(h.pi[i]), math.log1p(-h.pi[i])
-    prior = lpi2 - lpi1 if c[i] == 1 else lpi1 - lpi2
-    return _guarded_delta(c[i] == 1, d1, d2, counts.n1, counts.n2, *logs) + prior
+def clamp(p):
+    """p moved into [smallest subnormal, largest float below 1], as the
+    label sweep takes it."""
+    return BlockProbs(*(min(max(q, math.ulp(0.0)), math.nextafter(1.0, 0.0))
+                        for q in p))
+
+
+class FirstNodeRng:
+    """Stands in for the sweep's generator: node i is visited first, with
+    uniform u; every later node gets u = 1 and so moves only on delta >= 0."""
+
+    def __init__(self, i, n, u):
+        self.order = np.array([i] + [j for j in range(n) if j != i])
+        self.us = np.ones(n)
+        self.us[0] = u
+
+    def permutation(self, n):
+        return self.order
+
+    def random(self, n):
+        return self.us
+
+
+def sweep_flips(g, c, p, h, i, u):
+    """Whether label_sweep flips node i when i is drawn first with uniform u."""
+    state = ChainState(c=c.copy(), p=p, counts=block_counts(g, c))
+    label_sweep(state, g, h, FirstNodeRng(i, g.n, u))
+    return state.c[i] != c[i]
+
+
+MARGIN = 1e-9  # relative gap between u and exp(delta) that rounding may not cross
+
+
+def assert_flip_delta(g, c, p, h, i, full):
+    """The sweep's delta for flipping node i from c equals full: a uniform
+    just below exp(full) flips the node, and one just above keeps it. Below
+    exp(-700) a tiny uniform must keep it, and full >= 0 must flip it."""
+    if full < -700:
+        assert not sweep_flips(g, c, p, h, i, 1e-300)
+        return
+    below = math.exp(min(full, 0.0)) * (1 - MARGIN)
+    above = math.exp(min(full, 0.0)) * (1 + MARGIN)
+    assert sweep_flips(g, c, p, h, i, below)
+    if above < 1.0:
+        assert not sweep_flips(g, c, p, h, i, above)
+
+
+def assert_flip_delta_both_ways(g, c, p, h, i, full):
+    """The flip and its reverse, whose delta is -full; together they also
+    pin a delta near 0 from both sides."""
+    flipped = c.copy()
+    flipped[i] = 3 - flipped[i]
+    assert_flip_delta(g, c, p, h, i, full)
+    assert_flip_delta(g, flipped, p, h, i, -full)
 
 
 def log_target(g, c, p, h):
@@ -136,20 +180,22 @@ class TestLogLikelihoodDelta:
     def test_two_nodes_no_edges(self):
         g = Graph.from_edges([], n=2)
         h = Hyperparameters.uniform(2)
-        delta = flip_delta(g, labels(1, 2), BlockProbs(0.3, 0.6, 0.2), h, 1)
-        assert delta == pytest.approx(math.log1p(-0.3) - math.log1p(-0.6))
+        for p in (BlockProbs(0.3, 0.6, 0.2), BlockProbs(0.6, 0.3, 0.2)):
+            assert_flip_delta_both_ways(g, labels(1, 2), p, h, 1,
+                                        math.log1p(-p.p11) - math.log1p(-p.p12))
 
     def test_uniform_p_gives_zero_delta(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         h = Hyperparameters.uniform(4)
         c = labels(1, 2, 1, 2)
         for i in range(4):
-            delta = flip_delta(g, c, BlockProbs(0.5, 0.5, 0.5), h, i)
-            assert delta == pytest.approx(0.0, abs=1e-12)
+            assert_flip_delta_both_ways(g, c, BlockProbs(0.5, 0.5, 0.5), h, i, 0.0)
 
     def test_matches_full_recompute_randomized(self):
         """Each p_ij is 0, 1 or uniform; the graph is drawn from p with the
-        current labels as blocks, so the current state is always possible."""
+        current labels as blocks, so the current state is always possible.
+        The sweep's delta is checked against the full log target at the
+        clamped p, where every flip has a finite delta."""
         rng = np.random.default_rng(123)
         for seed in range(300):
             p = BlockProbs(*(float(rng.choice([0.0, 1.0, rng.uniform()]))
@@ -162,16 +208,9 @@ class TestLogLikelihoodDelta:
             i = int(rng.integers(0, 12))
             flipped = c.copy()
             flipped[i] = 3 - flipped[i]
-            full = log_target(g, flipped, p, h) - log_target(g, c, p, h)
-            assert flip_delta(g, c, p, h, i) == pytest.approx(
-                full, rel=1e-9, abs=1e-12)
-
-    def test_impossible_both_ways_rejects(self):
-        # edge (0, 1) is inside group 1 now and would cross after the flip
-        g = Graph.from_edges([(0, 1)], n=3)
-        h = Hyperparameters.uniform(3)
-        delta = flip_delta(g, labels(1, 1, 2), BlockProbs(0.0, 0.0, 0.5), h, 0)
-        assert delta == -math.inf
+            full = log_target(g, flipped, clamp(p), h) - log_target(g, c, clamp(p), h)
+            assert math.isfinite(full)
+            assert_flip_delta_both_ways(g, c, p, h, i, full)
 
 
 class TestLogPriorLabels:
@@ -269,4 +308,8 @@ class TestHyperparameters:
         assert Hyperparameters.uniform(3).block_symmetric()
         h = Hyperparameters(a0_11=2, b0_11=1, a0_12=1, b0_12=1,
                             a0_22=1, b0_22=1, pi=np.full(3, 0.5))
+        assert not h.block_symmetric()
+        assert not Hyperparameters.uniform(3, pi=0.2).block_symmetric()
+        h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
+                            a0_22=1, b0_22=1, pi=np.array([0.5, 0.5, 0.7]))
         assert not h.block_symmetric()

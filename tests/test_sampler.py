@@ -101,9 +101,10 @@ class TestLabelSweep:
             assert state.counts == block_counts(g, state.c)
 
     def test_zero_cross_probability_never_creates_a_cross_edge(self):
-        """p12 = 0 sends every flip through the guarded path: a flip that
-        would put an edge across the groups is impossible, so the two
-        components stay apart while the isolated nodes 5 and 6 move."""
+        """At p12 = 0 the sweep's cross-block logs come from p12 clamped to
+        the smallest positive float, so a flip that would put an edge across
+        the groups costs about 744 and is rejected: the two components stay
+        apart while the isolated nodes 5 and 6 move."""
         g = Graph.from_edges([(0, 1), (1, 2), (3, 4)], n=7)
         h = Hyperparameters.uniform(7)
         rng = chain_rng(4, 0)
@@ -323,6 +324,14 @@ class TestRunChain:
                             a0_22=1.0, b0_22=1.0, pi=np.full(4, 0.5))
         with pytest.warns(UserWarning, match="block-symmetric"):
             run_chain(g, h, ChainConfig(total_samples=30, burn_in=0, seed=0))
+
+    def test_label_prior_away_from_half_warns(self):
+        g = path_graph(4)
+        for pi in (np.full(4, 0.2), np.array([0.5, 0.5, 0.3, 0.6])):
+            h = Hyperparameters(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
+                                a0_22=1.0, b0_22=1.0, pi=pi)
+            with pytest.warns(UserWarning, match="pi != 0.5"):
+                run_chain(g, h, ChainConfig(total_samples=30, burn_in=0, seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="burn_in"):
