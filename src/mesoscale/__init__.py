@@ -25,7 +25,7 @@ from .sampler import (
     ChainConfig,
     ChainState,
     PosteriorSamples,
-    enforce_identifiability,
+    exchange_groups,
     gibbs_update_probs,
     init_chain,
     label_sweep,
@@ -52,8 +52,8 @@ __all__ = [
     "classify_structure",
     "coassignment_matrix",
     "density_summary",
-    "enforce_identifiability",
     "exact_structure_posterior",
+    "exchange_groups",
     "generate_sbm",
     "gibbs_update_probs",
     "group_size_posterior",

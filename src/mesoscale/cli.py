@@ -53,7 +53,8 @@ def _add_prior_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--b0-{blk}", type=float, default=None,
                        help=f"override Beta shape b for block {blk}")
     p.add_argument("--pi", type=float, default=0.5,
-                   help="prior probability of group 1 for every node")
+                   help="prior probability of group 1 for every node; reports "
+                        "call the group with p11 >= p22 \"group 1\"")
 
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
@@ -126,6 +127,13 @@ def _chain_from_args(args) -> ChainConfig:
     )
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse, before any work, an output whose directory does not exist."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -134,6 +142,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _check_outputs(args.out, args.emit_traces, args.emit_densities)
     g, source = _load_graph(args)
     h = _hyper_from_args(args, g.n)
     cfg = _chain_from_args(args)
@@ -196,6 +205,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_simulate(args) -> int:
+    _check_outputs(args.out, args.raw_out)
     grid = _parse_grid(args.grid) if args.grid else PAPER_GRID
     n1 = round(args.frac * args.n)
     spec = SweepSpec(
@@ -218,6 +228,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_outputs(args.out)
     g, source = _load_graph(args)
     h = _hyper_from_args(args, g.n)
     verdict = exact_structure_posterior(g, h, quadrature_points=args.quad_points)

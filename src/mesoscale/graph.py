@@ -38,26 +38,6 @@ class Graph:
     names: tuple[str, ...]
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics, repr=False)
 
-    def __eq__(self, other: object) -> bool:
-        """Name-level identity: same named nodes and same named edges.
-
-        Internal id assignment and parse diagnostics are representation
-        details, not part of graph identity.
-        """
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and set(self.names) == set(other.names)
-            and self.named_edges() == other.named_edges()
-        )
-
-    def named_edges(self) -> frozenset:
-        return frozenset(
-            frozenset((self.names[i], self.names[j])) for i, j in self.edges()
-        )
-
     def edges(self):
         """All edges as (i, j) internal-id pairs with i < j, sorted."""
         for i in range(self.n):
@@ -68,8 +48,8 @@ class Graph:
     def to_edge_list(self) -> str:
         """Canonical edge-list text: one edge per line, internal-id order.
 
-        Re-parsing the result yields an equal Graph provided the graph has
-        no isolated nodes (edge lists cannot express them).
+        Re-parsing the result gives the same named nodes and edges if no
+        node is isolated (edge lists cannot express isolated nodes).
         """
         lines = [f"{self.names[i]} {self.names[j]}" for i, j in self.edges()]
         return "\n".join(lines) + ("\n" if lines else "")

@@ -1,7 +1,8 @@
 """Posterior summaries: structure verdicts, label uncertainty, and densities.
 
-Draw classification is relabel-invariant (p12 is compared against min/max of
-p11 and p22), so verdicts do not depend on how identifiability was enforced.
+Draw classification is invariant to exchanging the groups (p12 is compared
+against min/max of p11 and p22), so verdicts do not depend on their names.
+Label summaries call the group with p11 >= p22 in each draw "group 1".
 Ties on the category boundaries go to core-periphery, making the three
 categories a partition of the draw space.
 """
@@ -97,7 +98,7 @@ def classify_structure(samples: PosteriorSamples) -> StructureVerdict:
 
 
 def membership_probabilities(samples: PosteriorSamples) -> np.ndarray:
-    """Per-node posterior probability of group 1 (internal-id order)."""
+    """Per-node posterior probability of group 1, the group with p11 >= p22."""
     return samples.label_tally / samples.retained
 
 
@@ -117,7 +118,7 @@ def coassignment_matrix(samples: PosteriorSamples) -> np.ndarray:
 
 
 def group_size_posterior(samples: PosteriorSamples) -> np.ndarray:
-    """Normalized histogram of the group-1 size over retained draws."""
+    """Normalized histogram of the size of group 1 (p11 >= p22) over draws."""
     if samples.retained == 0:
         raise ValueError("no retained draws")
     return samples.size_tally / samples.retained

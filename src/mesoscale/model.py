@@ -8,7 +8,7 @@ Degenerate blocks (n1 = 0 or n2 = 0) are legal and contribute zero terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,7 @@ class Hyperparameters:
     a0_22: float
     b0_22: float
     pi: np.ndarray
+    log_odds: np.ndarray = field(init=False, repr=False)  # log(pi / (1 - pi))
 
     def __post_init__(self):
         shapes = (self.a0_11, self.b0_11, self.a0_12,
@@ -70,18 +71,13 @@ class Hyperparameters:
         if not np.all((pi > 0) & (pi < 1)):  # also rejects nan
             raise ValueError("label prior probabilities must lie strictly in (0, 1)")
         object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "log_odds", np.log(pi) - np.log1p(-pi))
 
     @classmethod
     def uniform(cls, n: int, a0: float = 1.0, b0: float = 1.0, pi: float = 0.5):
         """Same Beta(a0, b0) on every block pair and flat pi for all n nodes."""
         return cls(a0_11=a0, b0_11=b0, a0_12=a0, b0_12=b0, a0_22=a0, b0_22=b0,
                    pi=np.full(n, pi))
-
-    def block_symmetric(self) -> bool:
-        """Whether exchanging group names leaves the prior unchanged: equal
-        within-block Beta shapes and pi = 0.5 for every node."""
-        return ((self.a0_11, self.b0_11) == (self.a0_22, self.b0_22)
-                and bool(np.all(self.pi == 0.5)))
 
 
 def block_counts(g: Graph, c: np.ndarray) -> BlockCounts:

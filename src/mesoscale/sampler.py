@@ -2,7 +2,7 @@
 
 Each iteration runs a Metropolis label sweep over all nodes in fresh random
 order, a conjugate Gibbs draw for the three block probabilities, and a
-relabeling pass that enforces the p11 >= p22 identifiability convention.
+Metropolis exchange of the two groups, so the chain is exact for any prior.
 Chains are deterministic given (seed, chain_index).
 
 The Beta prior keeps every block probability strictly inside (0, 1), but a
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,11 +79,12 @@ class ChainState:
 
 @dataclass
 class PosteriorSamples:
-    """Retained draws and label tallies, pooled across chains in chain order."""
+    """Retained draws and label tallies pooled in chain order; in every draw
+    group 1 is the group with p11 >= p22."""
 
     draws: np.ndarray                       # (retained, 3) of (p11, p12, p22)
-    label_tally: np.ndarray                 # per-node count of draws with c_i = 1
-    size_tally: np.ndarray                  # histogram over n1 in 0..n
+    label_tally: np.ndarray                 # per-node count of draws in group 1
+    size_tally: np.ndarray                  # histogram of the group-1 size, 0..n
     swap_acceptance_rate: float             # accepted swaps / proposals, post-burn-in
     retained: int
     chain_sizes: tuple[int, ...] = (0,)
@@ -148,8 +148,7 @@ def label_sweep(
     lp12, l1m12 = _logs(state.p.p12)
     lp22, l1m22 = _logs(state.p.p22)
 
-    lpi1 = np.log(h.pi).tolist()
-    lpi2 = np.log1p(-h.pi).tolist()
+    log_odds = h.log_odds.tolist()
     order = rng.permutation(n).tolist()
     us = rng.random(n).tolist()
 
@@ -172,13 +171,13 @@ def label_sweep(
             delta = (
                 d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
                 + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
-                + lpi2[i] - lpi1[i]
+                - log_odds[i]
             )
         else:
             delta = (
                 d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
                 + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
-                + lpi1[i] - lpi2[i]
+                + log_odds[i]
             )
         if delta >= 0.0 or us[k] < math.exp(delta):
             accepted += 1
@@ -219,12 +218,29 @@ def gibbs_update_probs(
     return state
 
 
-def enforce_identifiability(state: ChainState) -> ChainState:
-    """Relabel groups so that p11 >= p22; the likelihood is unchanged."""
-    if state.p.p11 < state.p.p22:
-        state.c = 3 - state.c
-        state.p = BlockProbs(p11=state.p.p22, p12=state.p.p12, p22=state.p.p11)
-        state.counts = state.counts.swapped()
+def exchange_groups(
+    state: ChainState, h: Hyperparameters, rng: np.random.Generator
+) -> ChainState:
+    """Metropolis move to the mirror state: c -> 3 - c, p11 <-> p22.
+
+    The likelihood cancels, so the move is accepted with the prior ratio, its
+    logs taken at p clamped like the sweep's. At a ratio of exactly 1 (any
+    swap-symmetric prior) it is skipped without a draw: acceptance 0 both
+    ways keeps detailed balance.
+    """
+    in1 = state.c == 1
+    lp11, l1m11 = _logs(state.p.p11)
+    lp22, l1m22 = _logs(state.p.p22)
+    log_ratio = (
+        float(h.log_odds.dot(~in1) - h.log_odds.dot(in1))
+        + (h.a0_11 - h.a0_22) * (lp22 - lp11)
+        + (h.b0_11 - h.b0_22) * (l1m22 - l1m11)
+    )
+    if log_ratio == 0.0 or rng.random() >= math.exp(min(log_ratio, 0.0)):
+        return state
+    state.c = 3 - state.c
+    state.p = BlockProbs(*state.p[::-1])
+    state.counts = state.counts.swapped()
     return state
 
 
@@ -240,19 +256,11 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     """Run cfg.chains independent chains and pool their retained draws.
 
     Per chain: init, then total_samples iterations of (label sweep, Gibbs
-    update, identifiability pass). The first burn_in iterations are dropped
-    and every thin-th of the rest is retained.
+    update, group exchange). The first burn_in iterations are dropped and
+    every thin-th of the rest is tallied, with the groups named so p11 >= p22.
     """
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
-    if not h.block_symmetric():
-        warnings.warn(
-            "hyperparameters are not block-symmetric: (a0_11, b0_11) != "
-            "(a0_22, b0_22) or some pi != 0.5; the identifiability relabeling "
-            "assumes a prior unchanged by exchanging the groups, so results "
-            "may be biased",
-            stacklevel=2,
-        )
     n = g.n
     retained_per_chain = cfg.retained_per_chain
     total_retained = retained_per_chain * cfg.chains
@@ -286,15 +294,16 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         for it in range(cfg.total_samples):
             _, accepted = label_sweep(state, g, h, rng)
             gibbs_update_probs(state, h, rng)
-            enforce_identifiability(state)
+            exchange_groups(state, h, rng)
             if it < cfg.burn_in:
                 continue
             accepted_post += accepted
             if (it - cfg.burn_in + 1) % cfg.thin == 0:
-                draws[pos] = state.p
-                in1 = state.c == 1
+                fold = state.p.p11 < state.p.p22  # tally p11 >= p22 as group 1
+                draws[pos] = state.p[::-1] if fold else state.p
+                in1 = state.c == 1 + fold
                 label_tally += in1
-                size_tally[state.counts.n1] += 1
+                size_tally[state.counts.n2 if fold else state.counts.n1] += 1
                 if coassign is not None:
                     block[:, filled] = in1
                     filled += 1

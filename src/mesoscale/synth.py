@@ -47,6 +47,13 @@ class SweepSpec:
             raise ValueError("p12 grid must be nonempty")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        for p12 in self.p12_grid:  # a bad grid value fails here, before any fit
+            self.generator(p12, seed=0)
+
+    def generator(self, p12: float, seed: int) -> GeneratorSpec:
+        """The graph generator at one grid point."""
+        return GeneratorSpec(n=self.n, sizes=self.sizes,
+                             p=BlockProbs(self.p11, p12, self.p22), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,7 @@ def replicate_seeds(seed: int, grid_index: int, replicate: int) -> tuple[int, in
     return gen, fit
 
 
-def run_sweep(
-    spec: SweepSpec, h: Hyperparameters | None = None
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Fit every (grid point, replicate) pair and average the verdicts.
 
     Rows are emitted in grid order; the standard error columns are the
@@ -114,12 +119,9 @@ def run_sweep(
         probs = np.empty((spec.replicates, 3))
         for rep in range(spec.replicates):
             gen_seed, fit_seed = replicate_seeds(spec.seed, grid_index, rep)
-            g, _ = generate_sbm(GeneratorSpec(
-                n=spec.n, sizes=spec.sizes,
-                p=BlockProbs(spec.p11, p12, spec.p22), seed=gen_seed,
-            ))
-            hyper = Hyperparameters.uniform(g.n) if h is None else h
-            samples = run_chain(g, hyper, replace(spec.chain, seed=fit_seed))
+            g, _ = generate_sbm(spec.generator(p12, gen_seed))
+            samples = run_chain(g, Hyperparameters.uniform(g.n),
+                                replace(spec.chain, seed=fit_seed))
             verdict = classify_structure(samples)
             probs[rep] = verdict.as_tuple()
         means = probs.mean(axis=0)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mesoscale import cli
 from mesoscale.cli import main
 from mesoscale.graph import parse_edge_list
 
@@ -121,7 +122,9 @@ class TestAnalyze:
             assert exc.value.code == 1
             assert "--bins: must be at least 2" in capsys.readouterr().err
 
-    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "run_chain", None)  # must not be reached
         missing = tmp_path / "missing"
         for flag in ("--out", "--emit-traces", "--emit-densities"):
             assert run_cli("analyze", "--dataset", "karate", "--samples", "30",
@@ -239,6 +242,25 @@ class TestSimulate:
                        "--replicates", "1", "--samples", "50",
                        "--burn-in", "10") == 1
 
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", None)  # must not be reached
+        missing = tmp_path / "missing"
+        for flag in ("--out", "--raw-out"):
+            assert run_cli("simulate", "--n", "16", "--grid", "0.2",
+                           "--replicates", "1", "--samples", "50",
+                           "--burn-in", "10", flag, str(missing / "s.csv")) == 1
+            assert capsys.readouterr().err.startswith("error:")
+        assert not missing.exists()
+
+    def test_grid_value_out_of_range_fails_before_any_fit(self, monkeypatch,
+                                                          capsys):
+        from mesoscale import synth
+        monkeypatch.setattr(synth, "run_chain", None)  # must not be reached
+        assert run_cli("simulate", "--grid", "0.1,1.5", "--replicates", "20",
+                       "--samples", "50", "--burn-in", "10") == 1
+        assert "[0, 1]" in capsys.readouterr().err
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "0.3:0.1", "--replicates", "1",
                        "--samples", "50", "--burn-in", "10") == 1
@@ -259,6 +281,16 @@ class TestOracle:
         path.write_text("0 1\n1 2\n0 2\n")
         for points in ("0", "1"):
             assert run_cli("oracle", str(path), "--quad-points", points) == 1
+
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "exact_structure_posterior", None)  # not reached
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        missing = tmp_path / "missing"
+        assert run_cli("oracle", str(path), "--out", str(missing / "o.json")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not missing.exists()
 
     def test_large_graph_refused(self, tmp_path):
         path = tmp_path / "big.txt"

@@ -198,11 +198,11 @@ class TestDensitySummary:
 
 
 def exact_membership_oracle(g, h, quad_points=4097):
-    """P(c_i = 1 | A) with group 1 defined by the p11 >= p22 relabeling.
+    """P(c_i = 1 | A) with group 1 the group with p11 >= p22 in each draw.
 
     Enumerates label vectors; conditional on labels, P(p11 > p22) is a
     one-dimensional integral of the Beta density of p11 against the CDF
-    of p22. When p22 > p11 the relabeling flips every node.
+    of p22. When p22 > p11 every node's group is exchanged.
     """
     x = np.linspace(0.0, 1.0, quad_points)
     masks = list(itertools.product((1, 2), repeat=g.n))
@@ -287,10 +287,17 @@ class TestExactStructurePosterior:
         assert v.p_assortative + v.p_core_periphery + v.p_disassortative == \
             pytest.approx(1.0, abs=1e-8)
 
-    def test_matches_mcmc_on_random_graph(self):
+    @pytest.mark.parametrize("h", [
+        Hyperparameters.uniform(7),
+        Hyperparameters.uniform(7, pi=0.2),
+        Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
+                        pi=np.linspace(0.15, 0.85, 7)),
+        Hyperparameters(a0_11=3, b0_11=1, a0_12=1, b0_12=2, a0_22=0.5, b0_22=2,
+                        pi=np.full(7, 0.5)),
+    ], ids=["pi-0.5", "pi-0.2", "pi-per-node", "asymmetric-shapes"])
+    def test_matches_mcmc_on_random_graph(self, h):
         g, _ = generate_sbm(GeneratorSpec(n=7, sizes=(3, 4),
                                           p=BlockProbs(0.7, 0.2, 0.5), seed=21))
-        h = Hyperparameters.uniform(7)
         exact = exact_structure_posterior(g, h)
         s = run_chain(g, h, ChainConfig(total_samples=30000, burn_in=3000,
                                         seed=21))

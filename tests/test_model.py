@@ -303,13 +303,3 @@ class TestHyperparameters:
             with pytest.raises(ValueError, match="strictly"):
                 Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
                                 a0_22=1, b0_22=1, pi=np.array([0.5, bad]))
-
-    def test_block_symmetry_flag(self):
-        assert Hyperparameters.uniform(3).block_symmetric()
-        h = Hyperparameters(a0_11=2, b0_11=1, a0_12=1, b0_12=1,
-                            a0_22=1, b0_22=1, pi=np.full(3, 0.5))
-        assert not h.block_symmetric()
-        assert not Hyperparameters.uniform(3, pi=0.2).block_symmetric()
-        h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
-                            a0_22=1, b0_22=1, pi=np.array([0.5, 0.5, 0.7]))
-        assert not h.block_symmetric()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta as beta_dist
 
 from mesoscale.graph import Graph, parse_edge_list
 from mesoscale.datasets import load_dataset
@@ -18,7 +19,7 @@ from mesoscale.sampler import (
     ChainConfig,
     ChainState,
     chain_rng,
-    enforce_identifiability,
+    exchange_groups,
     gibbs_update_probs,
     init_chain,
     label_sweep,
@@ -97,7 +98,7 @@ class TestLabelSweep:
         for _ in range(60):
             label_sweep(state, g, h, rng)
             gibbs_update_probs(state, h, rng)
-            enforce_identifiability(state)
+            exchange_groups(state, h, rng)
             assert state.counts == block_counts(g, state.c)
 
     def test_zero_cross_probability_never_creates_a_cross_edge(self):
@@ -235,37 +236,91 @@ class TestGibbsUpdate:
             assert abs(draws[:, col].mean() - mean) < 3 * mc_se
 
 
-class TestEnforceIdentifiability:
-    def test_swaps_when_disordered(self):
-        g = path_graph(4)
-        c = np.array([1, 1, 2, 2])
-        state = make_state(g, c, BlockProbs(0.1, 0.3, 0.4))
-        before = log_likelihood(state.counts, state.p)
-        enforce_identifiability(state)
-        assert state.p == BlockProbs(0.4, 0.3, 0.1)
-        assert np.array_equal(state.c, np.array([2, 2, 1, 1]))
+class StubRng:
+    """Hands out one fixed uniform and counts the draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+class TestExchangeGroups:
+    G = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], n=6)
+    C = np.array([1, 1, 1, 2, 2, 1])
+    H = Hyperparameters(a0_11=3.0, b0_11=1.0, a0_12=1.0, b0_12=2.0,
+                        a0_22=0.5, b0_22=2.0,
+                        pi=np.array([0.2, 0.3, 0.5, 0.6, 0.8, 0.4]))
+
+    @staticmethod
+    def log_prior(c, p, h):
+        """Log prior density of (c, p) up to a constant, recomputed in full."""
+        return (log_prior_labels(c, h)
+                + beta_dist.logpdf(p.p11, h.a0_11, h.b0_11)
+                + beta_dist.logpdf(p.p22, h.a0_22, h.b0_22))
+
+    def log_ratio(self, c, p):
+        mirror = BlockProbs(p.p22, p.p12, p.p11)
+        return (self.log_prior(3 - c, mirror, self.H)
+                - self.log_prior(c, p, self.H))
+
+    def exchange(self, c, p, u):
+        state = make_state(self.G, c.copy(), p)
+        rng = StubRng(u)
+        exchange_groups(state, self.H, rng)
+        assert state.counts == block_counts(self.G, state.c)
+        return state, rng.draws
+
+    def test_accepts_with_the_prior_ratio(self):
+        for p in (BlockProbs(0.4, 0.3, 0.6), BlockProbs(0.9, 0.2, 0.1),
+                  BlockProbs(0.05, 0.5, 0.7), BlockProbs(0.3, 0.3, 0.8)):
+            c, mirror = self.C, BlockProbs(p.p22, p.p12, p.p11)
+            full = self.log_ratio(c, p)
+            if full > 0.0:  # start from the mirror, whose ratio is below 1
+                c, p, mirror, full = 3 - c, mirror, p, -full
+            bound = math.exp(full)
+            state, draws = self.exchange(c, p, bound * (1 - 1e-9))
+            assert draws == 1
+            assert np.array_equal(state.c, 3 - c)
+            assert state.p == mirror
+            state, draws = self.exchange(c, p, bound * (1 + 1e-9))
+            assert draws == 1
+            assert np.array_equal(state.c, c)
+            assert state.p == p
+            # the reverse move has ratio 1 / bound > 1: always taken
+            state, draws = self.exchange(3 - c, mirror, 1 - 1e-12)
+            assert draws == 1
+            assert np.array_equal(state.c, c)
+            assert state.p == p
+
+    def test_ratio_beyond_float_range_is_taken(self):
+        """exp of a log ratio above 709 overflows; the move is taken."""
+        g, c = path_graph(6), np.array([1, 1, 1, 1, 1, 2])
+        h = Hyperparameters.uniform(6, pi=1e-300)  # log ratio 4 * 690.8
+        state = make_state(g, c.copy(), BlockProbs(0.2, 0.5, 0.7))
+        rng = StubRng(1 - 1e-12)
+        exchange_groups(state, h, rng)
+        assert rng.draws == 1
+        assert np.array_equal(state.c, 3 - c)
         assert state.counts == block_counts(g, state.c)
-        assert log_likelihood(state.counts, state.p) == pytest.approx(before)
 
-    def test_identity_when_ordered(self):
-        g = path_graph(4)
-        c = np.array([1, 1, 2, 2])
-        state = make_state(g, c, BlockProbs(0.4, 0.3, 0.1))
-        enforce_identifiability(state)
-        assert state.p == BlockProbs(0.4, 0.3, 0.1)
+    @pytest.mark.parametrize("h,c", [
+        (Hyperparameters.uniform(5, a0=2.0, b0=0.5), [1, 2, 2, 1, 2]),
+        # flat pi away from 1/2 and equal group sizes: the label terms cancel
+        (Hyperparameters.uniform(4, pi=0.3), [1, 2, 2, 1]),
+    ], ids=["symmetric-prior", "flat-pi-equal-groups"])
+    def test_ratio_of_one_neither_moves_nor_draws(self, h, c):
+        c = np.array(c)
+        g, p = path_graph(len(c)), BlockProbs(0.2, 0.5, 0.7)
+        state = make_state(g, c.copy(), p)
+        rng = StubRng(0.0)
+        exchange_groups(state, h, rng)
+        assert rng.draws == 0
         assert np.array_equal(state.c, c)
-
-    def test_log_likelihood_invariant_randomized(self):
-        rng = np.random.default_rng(44)
-        g = path_graph(9)
-        for _ in range(50):
-            c = rng.integers(1, 3, size=9)
-            p = BlockProbs(*rng.random(3).tolist())
-            state = make_state(g, c, p)
-            before = log_likelihood(state.counts, state.p)
-            enforce_identifiability(state)
-            assert log_likelihood(state.counts, state.p) == pytest.approx(
-                before, rel=1e-12)
+        assert state.p == p
+        assert state.counts == block_counts(g, c)
 
 
 class TestRunChain:
@@ -317,21 +372,6 @@ class TestRunChain:
         first = run_chain(g, h, ChainConfig(total_samples=300, burn_in=50,
                                             seed=11, chains=1))
         assert np.array_equal(pooled.draws[:250], first.draws)
-
-    def test_asymmetric_hyperparameters_warn(self):
-        g = path_graph(4)
-        h = Hyperparameters(a0_11=2.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
-                            a0_22=1.0, b0_22=1.0, pi=np.full(4, 0.5))
-        with pytest.warns(UserWarning, match="block-symmetric"):
-            run_chain(g, h, ChainConfig(total_samples=30, burn_in=0, seed=0))
-
-    def test_label_prior_away_from_half_warns(self):
-        g = path_graph(4)
-        for pi in (np.full(4, 0.2), np.array([0.5, 0.5, 0.3, 0.6])):
-            h = Hyperparameters(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
-                                a0_22=1.0, b0_22=1.0, pi=pi)
-            with pytest.warns(UserWarning, match="pi != 0.5"):
-                run_chain(g, h, ChainConfig(total_samples=30, burn_in=0, seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="burn_in"):
