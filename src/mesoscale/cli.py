@@ -16,7 +16,12 @@ import numpy as np
 from . import report as report_mod
 from .datasets import DATASETS, load_dataset
 from .graph import Graph, GraphParseError, parse_edge_list
-from .inference import classify_structure, density_summary, exact_structure_posterior
+from .inference import (
+    ENUMERATION_LIMIT,
+    classify_structure,
+    density_summary,
+    exact_structure_posterior,
+)
 from .model import BlockProbs, Hyperparameters
 from .sampler import ChainConfig, run_chain
 from .synth import GeneratorSpec, SweepSpec, generate_sbm, run_sweep, sweep_table_csv
@@ -295,10 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-replicate verdicts as CSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exact verdict by label enumeration (n <= 14)")
+    p = sub.add_parser("oracle", help="exact verdict by label enumeration "
+                                      f"(n <= {ENUMERATION_LIMIT})")
     _add_input_args(p)
     _add_prior_args(p)
-    p.add_argument("--quad-points", type=int, default=4097)
+    p.add_argument("--quad-points", type=int, default=4097,
+                   help="Simpson quadrature points on [0, 1] for the p12 "
+                        "integral (any number >= 3)")
     p.add_argument("--out", help="write the verdict here instead of stdout")
     p.set_defaults(func=cmd_oracle)
 

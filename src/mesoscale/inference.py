@@ -10,22 +10,23 @@ categories a partition of the draw space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
-from scipy.special import betainc, logsumexp
+from scipy.special import betainc, betaln, xlog1py, xlogy
 
 from .graph import Graph
 from .model import (
     BlockCounts,
     Hyperparameters,
-    block_counts,
     log_marginal_likelihood,
     log_prior_labels,
 )
 from .sampler import PosteriorSamples
 
-ENUMERATION_LIMIT = 14
+ENUMERATION_LIMIT = 18
+# grid points tabulated at once: keeps the Beta tables at (shapes x 64)
+# instead of (shapes x quadrature points), so memory does not grow with the grid
+GRID_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -155,34 +156,83 @@ def density_summary(samples: PosteriorSamples, bins: int = 50) -> DensitySummary
     )
 
 
-def _ordering_probabilities(
-    counts: BlockCounts, h: Hyperparameters, x: np.ndarray
-) -> tuple[float, float]:
-    """(P(assortative), P(disassortative)) under independent Beta posteriors.
+def _simpson_weights(points: int) -> np.ndarray:
+    """w with w @ y == scipy's simpson(y, x=np.linspace(0, 1, points)).
 
-    Conditions on the labels: p_ij | A, c ~ Beta(Mij + a0, mij - Mij + b0)
-    independently, so the ordering probabilities reduce to one-dimensional
-    integrals over the density of p12.
+    Composite Simpson (1, 4, 2, ..., 4, 1) * h / 3 over the first odd number
+    of points. With an even number, the last interval takes scipy's
+    Cartwright correction (-1, 8, 5) * h / 12 on the last three points.
     """
-    # imported here so that only the oracle pays for these scipy submodules
-    from scipy.integrate import simpson
-    from scipy.stats import beta as beta_dist
+    h = 1.0 / (points - 1)
+    odd = points if points % 2 else points - 1
+    w = np.zeros(points)
+    w[1:odd:2] = 4 * h / 3
+    w[2:odd - 1:2] = 2 * h / 3
+    w[[0, odd - 1]] = h / 3
+    if points % 2 == 0:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) * h / 12
+    return w
 
-    a11 = counts.M11 + h.a0_11
-    b11 = counts.m11 - counts.M11 + h.b0_11
-    a12 = counts.M12 + h.a0_12
-    b12 = counts.m12 - counts.M12 + h.b0_12
-    a22 = counts.M22 + h.a0_22
-    b22 = counts.m22 - counts.M22 + h.b0_22
-    f12 = beta_dist.pdf(x, a12, b12)
-    # shapes < 1 make the density unbounded at an endpoint; drop those two
-    # grid points rather than propagate inf through the quadrature
-    f12[~np.isfinite(f12)] = 0.0
-    cdf11 = betainc(a11, b11, x)
-    cdf22 = betainc(a22, b22, x)
-    p_assortative = simpson(f12 * (1.0 - cdf11) * (1.0 - cdf22), x=x)
-    p_disassortative = simpson(f12 * cdf11 * cdf22, x=x)
-    return float(p_assortative), float(p_disassortative)
+
+def _beta_pdf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    f = np.exp(xlogy(a - 1, x) + xlog1py(b - 1, -x) - betaln(a, b))
+    # shapes < 1 make the density unbounded at an endpoint; drop those grid
+    # points rather than propagate inf through the quadrature
+    f[~np.isfinite(f)] = 0.0
+    return f
+
+
+def _labelling_counts(
+    g: Graph, h: Hyperparameters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n1, M11, M22 and the log label prior of every labelling of g.
+
+    Labelling k puts node i in group 1 when bit i of k is set; its M12 is
+    g.m - M11 - M22. The label prior uses log p(c) = log p(all nodes in
+    group 2) + sum of log_odds over the group-1 nodes.
+    """
+    k = np.arange(2 ** g.n)
+    in1 = [(k >> i) & 1 == 1 for i in range(g.n)]
+    n1 = sum(in1, np.zeros(len(k), dtype=np.int16))
+    M11 = np.zeros(len(k), dtype=np.int16)
+    M22 = np.zeros(len(k), dtype=np.int16)
+    for i, j in g.edges():
+        M11 += in1[i] & in1[j]
+        M22 += ~(in1[i] | in1[j])
+    log_prior = log_prior_labels(np.full(g.n, 2), h) + sum(
+        col * log_odds for col, log_odds in zip(in1, h.log_odds))
+    return n1, M11, M22, log_prior
+
+
+def _conditional_orderings(
+    counts: BlockCounts, h: Hyperparameters, points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(p12 < p11, p22) and P(p12 > p11, p22) for each set of counts.
+
+    Given the labels, p_ij ~ Beta(Mij + a0, mij - Mij + b0) independently, so
+    each is an integral over p12's density, here by Simpson on `points` grid
+    points. The Beta functions are evaluated once per distinct shape.
+    """
+    within, shape_index = np.unique(np.concatenate([
+        np.stack([counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11], axis=1),
+        np.stack([counts.M22 + h.a0_22, counts.m22 - counts.M22 + h.b0_22], axis=1),
+    ]), axis=0, return_inverse=True)
+    s11, s22 = np.split(shape_index, 2)
+    cross, s12 = np.unique(
+        np.stack([counts.M12 + h.a0_12, counts.m12 - counts.M12 + h.b0_12], axis=1),
+        axis=0, return_inverse=True)
+    x = np.linspace(0.0, 1.0, points)
+    w = _simpson_weights(points)
+    qa = np.zeros(len(s12))
+    qd = np.zeros(len(s12))
+    for lo in range(0, points, GRID_CHUNK):
+        xs, ws = x[lo:lo + GRID_CHUNK], w[lo:lo + GRID_CHUNK]
+        cdf = betainc(within[:, :1], within[:, 1:], xs)
+        f12 = _beta_pdf(cross[:, :1], cross[:, 1:], xs)[s12]
+        cdf11, cdf22 = cdf[s11], cdf[s22]
+        qa += (f12 * (1.0 - cdf11) * (1.0 - cdf22)) @ ws
+        qd += (f12 * cdf11 * cdf22) @ ws
+    return qa, qd
 
 
 def exact_structure_posterior(
@@ -190,9 +240,12 @@ def exact_structure_posterior(
 ) -> StructureVerdict:
     """Brute-force verdict: enumerate all 2^n label vectors.
 
-    Each vector is weighted by its marginal likelihood times label prior;
-    conditional ordering probabilities come from Simpson quadrature against
-    the regularized incomplete beta function. Only feasible for n <= 14.
+    Each vector is weighted by its marginal likelihood times label prior.
+    Vectors with the same block counts share their conditional ordering
+    probabilities, which come from Simpson quadrature on `quadrature_points`
+    evenly spaced points of [0, 1] (any number >= 3; an even number takes
+    scipy's correction on the last interval) against the regularized
+    incomplete beta function. Only feasible for n <= ENUMERATION_LIMIT (18).
     """
     if g.n > ENUMERATION_LIMIT:
         raise ValueError(
@@ -206,26 +259,24 @@ def exact_structure_posterior(
             f"quadrature_points must be at least 3, got {quadrature_points}"
         )
 
-    x = np.linspace(0.0, 1.0, quadrature_points)
-    log_weights = np.empty(2 ** g.n)
-    all_counts: list[BlockCounts] = []
-    for idx, labels in enumerate(product((1, 2), repeat=g.n)):
-        c = np.array(labels)
-        counts = block_counts(g, c)
-        all_counts.append(counts)
-        log_weights[idx] = log_marginal_likelihood(counts, h) + log_prior_labels(c, h)
-
-    weights = np.exp(log_weights - logsumexp(log_weights))
-    cache: dict[tuple[int, ...], tuple[float, float]] = {}
-    pa = pd = 0.0
-    for w, counts in zip(weights, all_counts):
-        key = (counts.M11, counts.m11, counts.M12,
-               counts.m12, counts.M22, counts.m22)
-        if key not in cache:
-            cache[key] = _ordering_probabilities(counts, h, x)
-        qa, qd = cache[key]
-        pa += w * qa
-        pd += w * qd
+    n1, M11, M22, log_prior = _labelling_counts(g, h)
+    # (n1, M11, M22) fixes every block count; pack it into one integer key,
+    # then work per key
+    base = g.m + 1
+    keys, inverse = np.unique((n1.astype(np.int64) * base + M11) * base + M22,
+                              return_inverse=True)
+    n1, M11, M22 = keys // base**2, keys // base % base, keys % base
+    n2 = g.n - n1
+    counts = BlockCounts(
+        M11=M11, M12=g.m - M11 - M22, M22=M22,
+        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
+        n1=n1, n2=n2,
+    )
+    log_weights = log_marginal_likelihood(counts, h)[inverse] + log_prior
+    weights = np.bincount(inverse, np.exp(log_weights - log_weights.max()))
+    weights /= weights.sum()
+    qa, qd = _conditional_orderings(counts, h, quadrature_points)
+    pa, pd = weights @ qa, weights @ qd
     return StructureVerdict(
         p_assortative=float(pa),
         p_core_periphery=float(1.0 - pa - pd),

@@ -138,13 +138,16 @@ def log_prior_labels(c: np.ndarray, h: Hyperparameters) -> float:
     return float(np.sum(np.log(h.pi[in1])) + np.sum(np.log1p(-h.pi[~in1])))
 
 
-def log_marginal_likelihood(counts: BlockCounts, h: Hyperparameters) -> float:
+def log_marginal_likelihood(
+    counts: BlockCounts, h: Hyperparameters
+) -> float | np.ndarray:
     """Log likelihood with the block probabilities integrated out analytically.
 
     Each block pair contributes log B(Mij + a0, mij - Mij + b0) - log B(a0, b0);
-    empty blocks contribute exactly zero.
+    empty blocks contribute exactly zero. Elementwise when the counts are
+    arrays, one entry per set of counts.
     """
-    return float(
+    return (
         betaln(counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11)
         - betaln(h.a0_11, h.b0_11)
         + betaln(counts.M12 + h.a0_12, counts.m12 - counts.M12 + h.b0_12)

@@ -331,8 +331,12 @@ def test_cli_entry_point_help():
 
 
 def test_cli_import_leaves_out_oracle_only_scipy_modules():
-    # only the oracle's quadrature needs these; importing them costs ~1 s
+    # no command needs these, not even the oracle; importing them costs ~1 s
     code = ("import sys, mesoscale.cli; "
+            "from mesoscale import Graph, Hyperparameters, "
+            "exact_structure_posterior; "
+            "exact_structure_posterior(Graph.from_edges([(0, 1)], n=3), "
+            "Hyperparameters.uniform(3)); "
             "print([m for m in ('scipy.stats', 'scipy.integrate') "
             "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code],

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.special import betainc
+from scipy.special import betainc, logsumexp
 from scipy.stats import beta as beta_dist
 
 from mesoscale.graph import Graph
 from mesoscale.inference import (
+    ENUMERATION_LIMIT,
+    _labelling_counts,
+    _simpson_weights,
     classify_draws,
     classify_structure,
     coassignment_matrix,
@@ -228,12 +231,97 @@ def exact_membership_oracle(g, h, quad_points=4097):
     return member
 
 
+def loop_structure_oracle(g, h, quad_points=4097):
+    """Verdict by one block_counts call per label vector and one Simpson
+    quadrature per distinct set of counts: the reference for the array code
+    in exact_structure_posterior."""
+    x = np.linspace(0.0, 1.0, quad_points)
+    log_w = np.empty(2 ** g.n)
+    all_counts = []
+    for k, labels in enumerate(itertools.product((1, 2), repeat=g.n)):
+        c = np.array(labels)
+        counts = block_counts(g, c)
+        all_counts.append(counts)
+        log_w[k] = log_marginal_likelihood(counts, h) + log_prior_labels(c, h)
+    w = np.exp(log_w - logsumexp(log_w))
+    cache = {}
+    pa = pd = 0.0
+    for wk, counts in zip(w, all_counts):
+        key = (counts.M11, counts.m11, counts.M12,
+               counts.m12, counts.M22, counts.m22)
+        if key not in cache:
+            a11 = counts.M11 + h.a0_11
+            b11 = counts.m11 - counts.M11 + h.b0_11
+            a12 = counts.M12 + h.a0_12
+            b12 = counts.m12 - counts.M12 + h.b0_12
+            a22 = counts.M22 + h.a0_22
+            b22 = counts.m22 - counts.M22 + h.b0_22
+            f12 = beta_dist.pdf(x, a12, b12)
+            f12[~np.isfinite(f12)] = 0.0
+            cdf11 = betainc(a11, b11, x)
+            cdf22 = betainc(a22, b22, x)
+            cache[key] = (simpson(f12 * (1.0 - cdf11) * (1.0 - cdf22), x=x),
+                          simpson(f12 * cdf11 * cdf22, x=x))
+        qa, qd = cache[key]
+        pa += wk * qa
+        pd += wk * qd
+    return pa, 1.0 - pa - pd, pd
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 4096, 4097])
+def test_simpson_weights_match_scipy(points):
+    x = np.linspace(0.0, 1.0, points)
+    w = _simpson_weights(points)
+    rng = np.random.default_rng(points)
+    for y in (rng.random(points), np.sqrt(x), np.ones(points)):
+        assert abs(w @ y - simpson(y, x=x)) < 1e-14
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges([], n=5),
+    Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], n=7),
+    generate_sbm(GeneratorSpec(n=8, sizes=(3, 5), p=BlockProbs(0.8, 0.3, 0.4),
+                               seed=3))[0],
+    generate_sbm(GeneratorSpec(n=15, sizes=(6, 9), p=BlockProbs(0.6, 0.2, 0.3),
+                               seed=8))[0],
+], ids=["empty-5", "isolated-nodes-7", "sbm-8", "sbm-15"])
+def test_labelling_counts_match_block_counts(g):
+    h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
+                        pi=np.linspace(0.1, 0.9, g.n))
+    n1, M11, M22, log_prior = _labelling_counts(g, h)
+    assert len(n1) == len(M11) == len(M22) == len(log_prior) == 2 ** g.n
+    for k in range(2 ** g.n):
+        c = np.where((k >> np.arange(g.n)) & 1, 1, 2)
+        counts = block_counts(g, c)
+        assert (n1[k], M11[k], g.m - M11[k] - M22[k], M22[k]) == \
+            (counts.n1, counts.M11, counts.M12, counts.M22)
+        assert log_prior[k] == pytest.approx(log_prior_labels(c, h), rel=1e-12)
+
+
 class TestExactStructurePosterior:
     def test_refuses_large_graphs(self):
-        g = Graph.from_edges([(i, i + 1) for i in range(15)])
-        h = Hyperparameters.uniform(16)
-        with pytest.raises(ValueError, match="n <= 14"):
+        n = ENUMERATION_LIMIT + 2
+        g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+        h = Hyperparameters.uniform(n)
+        with pytest.raises(ValueError, match=f"n <= {ENUMERATION_LIMIT}"):
             exact_structure_posterior(g, h)
+
+    @pytest.mark.parametrize("points", [3, 4, 257, 4097])
+    @pytest.mark.parametrize("h", [
+        Hyperparameters.uniform(8),
+        Hyperparameters.uniform(8, pi=0.2),
+        Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
+                        pi=np.linspace(0.15, 0.85, 8)),
+        Hyperparameters(a0_11=3, b0_11=1, a0_12=0.5, b0_12=2, a0_22=0.5,
+                        b0_22=2, pi=np.full(8, 0.5)),
+    ], ids=["pi-0.5", "pi-0.2", "pi-per-node", "asymmetric-shapes"])
+    def test_matches_loop_oracle(self, h, points):
+        g, _ = generate_sbm(GeneratorSpec(n=7, sizes=(3, 4),
+                                          p=BlockProbs(0.7, 0.2, 0.5), seed=21))
+        g = Graph.from_edges(list(g.edges()), n=8)  # plus an isolated node
+        v = exact_structure_posterior(g, h, quadrature_points=points)
+        assert v.as_tuple() == pytest.approx(
+            loop_structure_oracle(g, h, points), abs=1e-12)
 
     def test_refuses_too_few_quadrature_points(self):
         g = Graph.from_edges([(0, 1)])
