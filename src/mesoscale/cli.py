@@ -174,6 +174,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _check_outputs(f"{args.out}.edges")
     if args.sizes:
         n1, n2 = (int(t) for t in args.sizes.split(","))
         sizes = (n1, n2)

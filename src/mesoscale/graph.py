@@ -8,6 +8,14 @@ all reporting translates back to the external names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
+
+
+def node_bits(flags: np.ndarray) -> int:
+    """The nodes i with flags[i] true as the set bits of one int."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class GraphParseError(ValueError):
@@ -29,7 +37,7 @@ class Graph:
 
     Internal node ids are contiguous 0..n-1. ``adjacency[i]`` is the sorted
     tuple of neighbors of node i; symmetry and absence of self-loops are
-    guaranteed by construction.
+    guaranteed by construction. The cached properties are built on first use.
     """
 
     n: int
@@ -37,6 +45,15 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics, repr=False)
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when j neighbours i; n^2/8 bytes in all."""
+        return tuple(sum(1 << j for j in nb) for nb in self.adjacency)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(len(nb) for nb in self.adjacency)
 
     def edges(self):
         """All edges as (i, j) internal-id pairs with i < j, sorted."""

@@ -266,12 +266,7 @@ def exact_structure_posterior(
     keys, inverse = np.unique((n1.astype(np.int64) * base + M11) * base + M22,
                               return_inverse=True)
     n1, M11, M22 = keys // base**2, keys // base % base, keys % base
-    n2 = g.n - n1
-    counts = BlockCounts(
-        M11=M11, M12=g.m - M11 - M22, M22=M22,
-        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
-        n1=n1, n2=n2,
-    )
+    counts = BlockCounts.of(M11, g.m - M11 - M22, M22, n1, g.n - n1)
     log_weights = log_marginal_likelihood(counts, h)[inverse] + log_prior
     weights = np.bincount(inverse, np.exp(log_weights - log_weights.max()))
     weights /= weights.sum()

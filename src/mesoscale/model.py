@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betaln
 
-from .graph import Graph
+from .graph import Graph, node_bits
 
 
 class BlockProbs(NamedTuple):
@@ -39,6 +39,12 @@ class BlockCounts:
     m22: int
     n1: int
     n2: int
+
+    @classmethod
+    def of(cls, M11, M12, M22, n1, n2) -> "BlockCounts":
+        """Counts of realized edges M11, M12, M22 in groups of n1 and n2 nodes."""
+        return cls(M11=M11, M12=M12, M22=M22, m11=n1 * (n1 - 1) // 2,
+                   m12=n1 * n2, m22=n2 * (n2 - 1) // 2, n1=n1, n2=n2)
 
     def swapped(self) -> "BlockCounts":
         """Counts after exchanging the two group names."""
@@ -85,27 +91,12 @@ def block_counts(g: Graph, c: np.ndarray) -> BlockCounts:
     c = np.asarray(c)
     if len(c) != g.n:
         raise ValueError(f"label vector length {len(c)} != graph n={g.n}")
-    n1 = int(np.count_nonzero(c == 1))
-    n2 = g.n - n1
-    M11 = M12 = M22 = 0
-    for i in range(g.n):
-        ci = c[i]
-        for j in g.adjacency[i]:
-            if j > i:
-                if ci == 1:
-                    if c[j] == 1:
-                        M11 += 1
-                    else:
-                        M12 += 1
-                elif c[j] == 1:
-                    M12 += 1
-                else:
-                    M22 += 1
-    return BlockCounts(
-        M11=M11, M12=M12, M22=M22,
-        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
-        n1=n1, n2=n2,
-    )
+    group1 = np.flatnonzero(c == 1).tolist()
+    n1 = len(group1)
+    in1, masks, degrees = node_bits(c == 1), g.neighbour_masks, g.degrees
+    M11 = sum((masks[i] & in1).bit_count() for i in group1) // 2
+    M12 = sum(degrees[i] for i in group1) - 2 * M11
+    return BlockCounts.of(M11, M12, g.m - M11 - M12, n1, g.n - n1)
 
 
 def _bernoulli_block_term(M: int, m: int, p: float) -> float:

@@ -10,6 +10,12 @@ Beta draw can round to exactly 0 or 1. So the label sweep takes its logs from
 p clamped to [P_FLOOR, P_CEIL], the nearest floats inside (0, 1): every log is
 finite and one delta expression serves every state. ChainState.p is stored
 unclamped.
+
+The sweep counts a node's group-1 neighbours as popcount(mask_i & group 1) on
+ints used as bit sets (``Graph.neighbour_masks``): n^2/8 bytes of masks, and
+O(n/30) machine words per count in place of O(degree) interpreted steps. At
+mean degree 20 that beats a loop over the adjacency at n = 10000 and loses at
+n = 30000, far above the bundled datasets and the benchmark's 3000 nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, node_bits
 from .model import (
     BlockCounts,
     BlockProbs,
@@ -120,7 +126,7 @@ def init_chain(
     if cfg.init == "random_labels":
         c = np.where(rng.random(g.n) < h.pi, 1, 2).astype(np.int64)
     else:
-        degrees = np.array([len(adj) for adj in g.adjacency])
+        degrees = np.array(g.degrees)
         c = np.where(degrees >= np.median(degrees), 1, 2).astype(np.int64)
     return ChainState(c=c, p=p, counts=block_counts(g, c))
 
@@ -138,6 +144,8 @@ def label_sweep(
 
     Each node's label flip is accepted with min(1, likelihood ratio x prior
     ratio); counts are updated incrementally from the node's incident pairs.
+    Group 1 is an int bit set, built from state.c once per sweep and toggled
+    per accepted flip; neighbours are counted against it (module docstring).
     The ratio is taken at p clamped into [P_FLOOR, P_CEIL] (module docstring);
     a flip impossible at a p of exactly 0 or 1 then costs about 744 per edge
     at p = 0 or 36.7 per non-edge at p = 1, so it is all but never accepted.
@@ -147,14 +155,18 @@ def label_sweep(
     lp11, l1m11 = _logs(state.p.p11)
     lp12, l1m12 = _logs(state.p.p12)
     lp22, l1m22 = _logs(state.p.p22)
+    # per-pair log-ratios of a 1 -> 2 flip; a 2 -> 1 flip negates them exactly
+    w1, v1 = lp12 - lp11, l1m12 - l1m11
+    w2, v2 = lp22 - lp12, l1m22 - l1m12
 
     log_odds = h.log_odds.tolist()
     order = rng.permutation(n).tolist()
     us = rng.random(n).tolist()
 
-    adjacency = g.adjacency
+    masks, degrees = g.neighbour_masks, g.degrees
     c = state.c
     ing1 = (c == 1).astype(np.int64).tolist()
+    in1 = node_bits(c == 1)
     counts = state.counts
     n1, n2 = counts.n1, counts.n2
     M11, M12, M22 = counts.M11, counts.M12, counts.M22
@@ -162,25 +174,23 @@ def label_sweep(
 
     for k in range(n):
         i = order[k]
-        adj = adjacency[i]
-        d1 = 0
-        for j in adj:
-            d1 += ing1[j]
-        d2 = len(adj) - d1
+        d1 = (masks[i] & in1).bit_count()
+        d2 = degrees[i] - d1
         if ing1[i]:
             delta = (
-                d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
-                + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
+                d1 * w1 + (n1 - 1 - d1) * v1
+                + d2 * w2 + (n2 - d2) * v2
                 - log_odds[i]
             )
         else:
             delta = (
-                d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
-                + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
+                -d2 * w2 - (n2 - 1 - d2) * v2
+                - d1 * w1 - (n1 - d1) * v1
                 + log_odds[i]
             )
         if delta >= 0.0 or us[k] < math.exp(delta):
             accepted += 1
+            in1 ^= 1 << i
             if ing1[i]:
                 ing1[i] = 0
                 n1 -= 1
@@ -197,11 +207,7 @@ def label_sweep(
                 M11 += d1
 
     state.c = np.where(np.array(ing1, dtype=bool), 1, 2).astype(np.int64)
-    state.counts = BlockCounts(
-        M11=M11, M12=M12, M22=M22,
-        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
-        n1=n1, n2=n2,
-    )
+    state.counts = BlockCounts.of(M11, M12, M22, n1, n2)
     return state, accepted
 
 

@@ -164,10 +164,15 @@ class TestAnalyze:
 
 
 class TestGenerate:
-    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "generate_sbm", None)  # must not be reached
+        missing = tmp_path / "missing"
         assert run_cli("generate", "--n", "10", "--p11", "0.5", "--p12", "0.1",
-                       "--p22", "0.5", "--out", str(tmp_path / "missing" / "net")) == 1
+                       "--p22", "0.5", "--out", str(missing / "net")) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_reproducible_files(self, tmp_path):
         args = ("generate", "--n", "100", "--frac", "0.4", "--p11", "0.20",

@@ -394,6 +394,21 @@ class TestExactStructurePosterior:
                        for a, b in zip(exact.as_tuple(), mcmc.as_tuple()))
         assert tv < 0.03
 
+    @pytest.mark.parametrize("pi", [0.5, 0.2])
+    def test_matches_mcmc_on_larger_random_graph(self, pi):
+        """16 nodes with spread verdicts: (0.73, 0.23, 0.04) at pi 0.5 and
+        (0.58, 0.30, 0.12) at pi 0.2, so the chain must move between modes."""
+        g, _ = generate_sbm(GeneratorSpec(n=16, sizes=(7, 9),
+                                          p=BlockProbs(0.7, 0.4, 0.2), seed=21))
+        h = Hyperparameters.uniform(16, pi=pi)
+        exact = exact_structure_posterior(g, h)
+        s = run_chain(g, h, ChainConfig(total_samples=30000, burn_in=3000,
+                                        seed=21))
+        mcmc = classify_structure(s)
+        tv = 0.5 * sum(abs(a - b)
+                       for a, b in zip(exact.as_tuple(), mcmc.as_tuple()))
+        assert tv < 0.03
+
     def test_membership_matches_exact_oracle(self):
         g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
                                           p=BlockProbs(0.85, 0.25, 0.55), seed=31))

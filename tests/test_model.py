@@ -70,6 +70,27 @@ class TestBlockCounts:
         assert 0 <= counts.M12 <= counts.m12
         assert 0 <= counts.M22 <= counts.m22
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_masks_and_counts_match_brute_force(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=150))
+        node = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+        g = Graph.from_edges([(i, j) for i, j in pairs if i != j], n=n)
+        for i in range(n):
+            mask = g.neighbour_masks[i]
+            assert [j for j in range(n) if mask >> j & 1] == list(g.adjacency[i])
+            assert mask >> n == 0
+            assert g.degrees[i] == len(g.adjacency[i])
+        drawn = labels(*data.draw(st.lists(st.sampled_from((1, 2)),
+                                           min_size=n, max_size=n)))
+        for c in (drawn, np.ones(n, dtype=np.int64), np.full(n, 2)):
+            brute = [0, 0, 0]
+            for i, j in g.edges():
+                brute[int(c[i] + c[j]) - 2] += 1
+            counts = block_counts(g, c)
+            assert [counts.M11, counts.M12, counts.M22] == brute
+
 
 class TestLogLikelihood:
     def test_all_half_is_total_pairs_times_log_half(self):

@@ -7,6 +7,7 @@ from scipy.stats import beta as beta_dist
 from mesoscale.graph import Graph, parse_edge_list
 from mesoscale.datasets import load_dataset
 from mesoscale.model import (
+    BlockCounts,
     BlockProbs,
     Hyperparameters,
     block_counts,
@@ -25,6 +26,61 @@ from mesoscale.sampler import (
     label_sweep,
     run_chain,
 )
+from mesoscale.synth import GeneratorSpec, generate_sbm
+
+
+def loop_label_sweep(state, g, h, rng):
+    """The label sweep with a Python loop over each node's adjacency: the
+    reference that the bit-set neighbour count in label_sweep must match
+    state for state."""
+    n = g.n
+    lp11, l1m11 = sampler._logs(state.p.p11)
+    lp12, l1m12 = sampler._logs(state.p.p12)
+    lp22, l1m22 = sampler._logs(state.p.p22)
+    log_odds = h.log_odds.tolist()
+    order = rng.permutation(n).tolist()
+    us = rng.random(n).tolist()
+    ing1 = (state.c == 1).astype(np.int64).tolist()
+    counts = state.counts
+    n1, n2 = counts.n1, counts.n2
+    M11, M12, M22 = counts.M11, counts.M12, counts.M22
+    accepted = 0
+    for k in range(n):
+        i = order[k]
+        adj = g.adjacency[i]
+        d1 = 0
+        for j in adj:
+            d1 += ing1[j]
+        d2 = len(adj) - d1
+        if ing1[i]:
+            delta = (
+                d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
+                + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
+                - log_odds[i]
+            )
+        else:
+            delta = (
+                d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
+                + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
+                + log_odds[i]
+            )
+        if delta >= 0.0 or us[k] < math.exp(delta):
+            accepted += 1
+            if ing1[i]:
+                ing1[i] = 0
+                n1, n2 = n1 - 1, n2 + 1
+                M11, M12, M22 = M11 - d1, M12 + d1 - d2, M22 + d2
+            else:
+                ing1[i] = 1
+                n1, n2 = n1 + 1, n2 - 1
+                M11, M12, M22 = M11 + d1, M12 + d2 - d1, M22 - d2
+    state.c = np.where(np.array(ing1, dtype=bool), 1, 2).astype(np.int64)
+    state.counts = BlockCounts(
+        M11=M11, M12=M12, M22=M22,
+        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
+        n1=n1, n2=n2,
+    )
+    return state, accepted
 
 
 def make_state(g, c, p):
@@ -118,6 +174,42 @@ class TestLabelSweep:
             assert state.counts == block_counts(g, state.c)
             assert state.counts.M12 == 0
         assert accepted > 0
+
+    @pytest.mark.parametrize("g, p, update_p", [
+        (load_dataset("karate"), None, True),
+        (load_dataset("dolphins"), None, True),
+        # 200-node SBM plus 30 isolated nodes: masks of many digits and zeros
+        (Graph.from_edges(generate_sbm(GeneratorSpec(
+            n=200, sizes=(80, 120), p=BlockProbs(0.08, 0.02, 0.05), seed=17)
+        )[0].edges(), n=230), None, True),
+        (Graph.from_edges([], n=1), None, True),
+        (Graph.from_edges([(0, 1), (1, 2), (3, 4)], n=7),
+         BlockProbs(0.6, 0.0, 0.3), False),
+        (load_dataset("karate"), BlockProbs(1.0, 0.0, 0.2), False),
+    ], ids=["karate", "dolphins", "sbm-200-isolated", "single-node",
+            "p12-zero", "karate-p-at-0-and-1"])
+    def test_matches_adjacency_loop_state_for_state(self, g, p, update_p):
+        h = Hyperparameters.uniform(g.n, pi=0.4)
+        states, rngs = [], []
+        for _ in range(2):
+            rng = chain_rng(11, 0)
+            state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0,
+                                                 seed=11), rng=rng)
+            if p is not None:
+                state.p = p
+            states.append(state)
+            rngs.append(rng)
+        for _ in range(200):
+            _, accepted = label_sweep(states[0], g, h, rngs[0])
+            _, expected = loop_label_sweep(states[1], g, h, rngs[1])
+            assert accepted == expected
+            assert np.array_equal(states[0].c, states[1].c)
+            assert states[0].counts == states[1].counts
+            if update_p:
+                for state, rng in zip(states, rngs):
+                    gibbs_update_probs(state, h, rng)
+                    exchange_groups(state, h, rng)
+                assert states[0].p == states[1].p
 
     def test_single_free_node_visits_both_groups_evenly(self):
         g = Graph.from_edges([], n=1)
