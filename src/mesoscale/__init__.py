@@ -17,7 +17,6 @@ from .model import (
     BlockProbs,
     Hyperparameters,
     block_counts,
-    log_likelihood,
     log_marginal_likelihood,
     log_prior_labels,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "group_size_posterior",
     "init_chain",
     "label_sweep",
-    "log_likelihood",
     "log_marginal_likelihood",
     "log_prior_labels",
     "membership_probabilities",

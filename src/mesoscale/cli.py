@@ -23,7 +23,7 @@ from .inference import (
     exact_structure_posterior,
 )
 from .model import BlockProbs, Hyperparameters
-from .sampler import ChainConfig, run_chain
+from .sampler import ChainConfig, require_chain_memory, require_memory, run_chain
 from .synth import GeneratorSpec, SweepSpec, generate_sbm, run_sweep, sweep_table_csv
 
 EXIT_OK = 0
@@ -151,6 +151,10 @@ def cmd_analyze(args) -> int:
     g, source = _load_graph(args)
     h = _hyper_from_args(args, g.n)
     cfg = _chain_from_args(args)
+    # every array the command builds, checked before sampling; each of the
+    # three density histograms keeps a float64 edge and mass per bin
+    require_chain_memory(g.n, cfg)
+    require_memory(48 * args.bins, f"--bins {args.bins}")
     t0 = time.perf_counter()
     samples = run_chain(g, h, cfg)
     duration = time.perf_counter() - t0

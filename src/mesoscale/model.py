@@ -1,8 +1,7 @@
 """Two-block SBM mathematics: sufficient statistics and log densities.
 
-All likelihood arithmetic is done in log space; impossible configurations
-(an edge in a block with probability 0) evaluate to -inf rather than raising.
-Degenerate blocks (n1 = 0 or n2 = 0) are legal and contribute zero terms.
+All arithmetic is done in log space. Degenerate blocks (n1 = 0 or n2 = 0)
+are legal and contribute zero terms.
 """
 
 from __future__ import annotations
@@ -67,6 +66,9 @@ class Hyperparameters:
     b0_22: float
     pi: np.ndarray
     log_odds: np.ndarray = field(init=False, repr=False)  # log(pi / (1 - pi))
+    log_odds_list: list[float] = field(init=False, repr=False)  # the same, as floats
+    # the exchange of the two groups leaves the prior unchanged
+    swap_symmetric: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         shapes = (self.a0_11, self.b0_11, self.a0_12,
@@ -77,7 +79,12 @@ class Hyperparameters:
         if not np.all((pi > 0) & (pi < 1)):  # also rejects nan
             raise ValueError("label prior probabilities must lie strictly in (0, 1)")
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "log_odds", np.log(pi) - np.log1p(-pi))
+        log_odds = np.log(pi) - np.log1p(-pi)
+        object.__setattr__(self, "log_odds", log_odds)
+        object.__setattr__(self, "log_odds_list", log_odds.tolist())
+        object.__setattr__(self, "swap_symmetric", bool(
+            self.a0_11 == self.a0_22 and self.b0_11 == self.b0_22
+            and not log_odds.any()))
 
     @classmethod
     def uniform(cls, n: int, a0: float = 1.0, b0: float = 1.0, pi: float = 0.5):
@@ -97,27 +104,6 @@ def block_counts(g: Graph, c: np.ndarray) -> BlockCounts:
     M11 = sum((masks[i] & in1).bit_count() for i in group1) // 2
     M12 = sum(degrees[i] for i in group1) - 2 * M11
     return BlockCounts.of(M11, M12, g.m - M11 - M12, n1, g.n - n1)
-
-
-def _bernoulli_block_term(M: int, m: int, p: float) -> float:
-    """M log p + (m - M) log(1 - p), with 0 * log 0 == 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"block probability {p} outside [0, 1]")
-    out = 0.0
-    if M > 0:
-        out += M * math.log(p) if p > 0.0 else -math.inf
-    if m - M > 0:
-        out += (m - M) * math.log1p(-p) if p < 1.0 else -math.inf
-    return out
-
-
-def log_likelihood(counts: BlockCounts, p: BlockProbs) -> float:
-    """Log of the collapsed Bernoulli likelihood over the three block pairs."""
-    return (
-        _bernoulli_block_term(counts.M11, counts.m11, p.p11)
-        + _bernoulli_block_term(counts.M12, counts.m12, p.p12)
-        + _bernoulli_block_term(counts.M22, counts.m22, p.p22)
-    )
 
 
 def log_prior_labels(c: np.ndarray, h: Hyperparameters) -> float:

@@ -146,17 +146,15 @@ def report_csv(report: dict) -> str:
 def traces_csv(samples: PosteriorSamples) -> str:
     """Retained (p11, p12, p22) draws in chain order, one row per draw."""
     lines = ["draw,p11,p12,p22"]
-    for i, (p11, p12, p22) in enumerate(samples.draws):
-        lines.append(f"{i},{float(p11)!r},{float(p12)!r},{float(p22)!r}")
+    for i, (p11, p12, p22) in enumerate(samples.draws.tolist()):
+        lines.append(f"{i},{p11!r},{p12!r},{p22!r}")
     return "\n".join(lines) + "\n"
 
 
 def densities_csv(d: DensitySummary) -> str:
     lines = ["component,bin_left,bin_right,mass"]
     for name, comp in (("p11", d.p11), ("p12", d.p12), ("p22", d.p22)):
-        for k in range(len(comp.mass)):
-            lines.append(
-                f"{name},{float(comp.bin_edges[k])!r},"
-                f"{float(comp.bin_edges[k + 1])!r},{float(comp.mass[k])!r}"
-            )
+        edges = comp.bin_edges.tolist()
+        for left, right, mass in zip(edges, edges[1:], comp.mass.tolist()):
+            lines.append(f"{name},{left!r},{right!r},{mass!r}")
     return "\n".join(lines) + "\n"

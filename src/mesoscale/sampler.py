@@ -11,11 +11,19 @@ p clamped to [P_FLOOR, P_CEIL], the nearest floats inside (0, 1): every log is
 finite and one delta expression serves every state. ChainState.p is stored
 unclamped.
 
-The sweep counts a node's group-1 neighbours as popcount(mask_i & group 1) on
-ints used as bit sets (``Graph.neighbour_masks``): n^2/8 bytes of masks, and
-O(n/30) machine words per count in place of O(degree) interpreted steps. At
-mean degree 20 that beats a loop over the adjacency at n = 10000 and loses at
-n = 30000, far above the bundled datasets and the benchmark's 3000 nodes.
+A chain is held in the sweep's own form from init_chain to its last draw:
+group 1 as a bytearray of 0/1 flags and, the same set, as the set bits of one
+int. The sweep counts a node's group-1 neighbours as popcount(mask_i & group
+1) on ints used as bit sets (``Graph.neighbour_masks``): n^2/8 bytes of
+masks, and O(n/30) machine words per count in place of O(degree) interpreted
+steps. At mean degree 20 that beats a loop over the adjacency at n = 10000
+and loses at n = 30000, far above the bundled datasets and the benchmark's
+3000 nodes. ChainState.c, the {1, 2} label array, is derived on demand.
+
+Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
+state, so exchange_groups returns at once. run_chain copies each retained,
+folded row of flags into one (TALLY_BLOCK, n) uint8 buffer and builds numpy
+tallies from a full buffer at a time, not from each draw.
 """
 
 from __future__ import annotations
@@ -35,8 +43,9 @@ from .model import (
 )
 
 INIT_MODES = ("random_labels", "degree_split")
-COASSIGN_BLOCK = 32  # label draws buffered per co-assignment BLAS update
+TALLY_BLOCK = 32  # retained draws buffered per tally (and co-assignment BLAS) update
 P_FLOOR, P_CEIL = math.ulp(0.0), math.nextafter(1.0, 0.0)
+EXCHANGE_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0 <-> 1
 
 
 @dataclass(frozen=True)
@@ -76,11 +85,29 @@ class ChainConfig:
 
 @dataclass
 class ChainState:
-    """One MCMC state; counts is a cache kept consistent with c."""
+    """One MCMC state in the sweep's form (module docstring).
 
-    c: np.ndarray
+    flags[i] is 1 when node i is in group 1 and 0 otherwise; bits holds the
+    same set as the set bits of one int. The sweep and the exchange update
+    both in place; counts is a cache kept consistent with them.
+    """
+
+    flags: bytearray
+    bits: int
     p: BlockProbs
     counts: BlockCounts
+
+    @classmethod
+    def of(cls, c: np.ndarray, p: BlockProbs, counts: BlockCounts) -> "ChainState":
+        """The state with labels c (entries in {1, 2}) and the given p, counts."""
+        in1 = np.asarray(c) == 1
+        return cls(flags=bytearray(in1.tobytes()), bits=node_bits(in1),
+                   p=p, counts=counts)
+
+    @property
+    def c(self) -> np.ndarray:
+        """The labels as a new int64 array with entries in {1, 2}."""
+        return 2 - np.frombuffer(self.flags, dtype=np.uint8).astype(np.int64)
 
 
 @dataclass
@@ -128,7 +155,7 @@ def init_chain(
     else:
         degrees = np.array(g.degrees)
         c = np.where(degrees >= np.median(degrees), 1, 2).astype(np.int64)
-    return ChainState(c=c, p=p, counts=block_counts(g, c))
+    return ChainState.of(c, p, block_counts(g, c))
 
 
 def _logs(q: float) -> tuple[float, float]:
@@ -144,12 +171,13 @@ def label_sweep(
 
     Each node's label flip is accepted with min(1, likelihood ratio x prior
     ratio); counts are updated incrementally from the node's incident pairs.
-    Group 1 is an int bit set, built from state.c once per sweep and toggled
-    per accepted flip; neighbours are counted against it (module docstring).
-    The ratio is taken at p clamped into [P_FLOOR, P_CEIL] (module docstring);
-    a flip impossible at a p of exactly 0 or 1 then costs about 744 per edge
-    at p = 0 or 36.7 per non-edge at p = 1, so it is all but never accepted.
-    Mutates ``state`` in place and returns it with the accepted-swap count.
+    Neighbours are counted against state.bits, and an accepted flip toggles
+    the node in state.bits and state.flags (module docstring); counts are
+    rebuilt only when some flip was accepted. The ratio is taken at p clamped
+    into [P_FLOOR, P_CEIL] (module docstring); a flip impossible at a p of
+    exactly 0 or 1 then costs about 744 per edge at p = 0 or 36.7 per non-edge
+    at p = 1, so it is all but never accepted. Mutates ``state`` in place and
+    returns it with the accepted-flip count.
     """
     n = g.n
     lp11, l1m11 = _logs(state.p.p11)
@@ -159,24 +187,21 @@ def label_sweep(
     w1, v1 = lp12 - lp11, l1m12 - l1m11
     w2, v2 = lp22 - lp12, l1m22 - l1m12
 
-    log_odds = h.log_odds.tolist()
+    log_odds = h.log_odds_list
     order = rng.permutation(n).tolist()
     us = rng.random(n).tolist()
 
     masks, degrees = g.neighbour_masks, g.degrees
-    c = state.c
-    ing1 = (c == 1).astype(np.int64).tolist()
-    in1 = node_bits(c == 1)
+    flags, in1 = state.flags, state.bits
     counts = state.counts
     n1, n2 = counts.n1, counts.n2
     M11, M12, M22 = counts.M11, counts.M12, counts.M22
     accepted = 0
 
-    for k in range(n):
-        i = order[k]
+    for i, u in zip(order, us):
         d1 = (masks[i] & in1).bit_count()
         d2 = degrees[i] - d1
-        if ing1[i]:
+        if flags[i]:
             delta = (
                 d1 * w1 + (n1 - 1 - d1) * v1
                 + d2 * w2 + (n2 - d2) * v2
@@ -188,26 +213,27 @@ def label_sweep(
                 - d1 * w1 - (n1 - d1) * v1
                 + log_odds[i]
             )
-        if delta >= 0.0 or us[k] < math.exp(delta):
+        if delta >= 0.0 or u < math.exp(delta):
             accepted += 1
             in1 ^= 1 << i
-            if ing1[i]:
-                ing1[i] = 0
+            if flags[i]:
+                flags[i] = 0
                 n1 -= 1
                 n2 += 1
                 M11 -= d1
                 M12 += d1 - d2
                 M22 += d2
             else:
-                ing1[i] = 1
+                flags[i] = 1
                 n1 += 1
                 n2 -= 1
                 M22 -= d2
                 M12 += d2 - d1
                 M11 += d1
 
-    state.c = np.where(np.array(ing1, dtype=bool), 1, 2).astype(np.int64)
-    state.counts = BlockCounts.of(M11, M12, M22, n1, n2)
+    if accepted:
+        state.bits = in1
+        state.counts = BlockCounts.of(M11, M12, M22, n1, n2)
     return state, accepted
 
 
@@ -230,11 +256,16 @@ def exchange_groups(
     """Metropolis move to the mirror state: c -> 3 - c, p11 <-> p22.
 
     The likelihood cancels, so the move is accepted with the prior ratio, its
-    logs taken at p clamped like the sweep's. At a ratio of exactly 1 (any
-    swap-symmetric prior) it is skipped without a draw: acceptance 0 both
-    ways keeps detailed balance.
+    logs taken at p clamped like the sweep's. At a ratio of exactly 1 it is
+    skipped without a draw: acceptance 0 both ways keeps detailed balance.
+    Under a swap-symmetric prior (h.swap_symmetric) the ratio is 1 in every
+    state, so the move returns before computing it; otherwise the label term
+    is taken on a zero-copy view of state.flags. An accepted move flips every
+    flag and every bit of state.bits.
     """
-    in1 = state.c == 1
+    if h.swap_symmetric:
+        return state
+    in1 = np.frombuffer(state.flags, dtype=bool)
     lp11, l1m11 = _logs(state.p.p11)
     lp22, l1m22 = _logs(state.p.p22)
     log_ratio = (
@@ -244,7 +275,8 @@ def exchange_groups(
     )
     if log_ratio == 0.0 or rng.random() >= math.exp(min(log_ratio, 0.0)):
         return state
-    state.c = 3 - state.c
+    state.flags = state.flags.translate(EXCHANGE_FLAGS)
+    state.bits ^= (1 << len(state.flags)) - 1
     state.p = BlockProbs(*state.p[::-1])
     state.counts = state.counts.swapped()
     return state
@@ -258,12 +290,36 @@ def physical_memory() -> int | None:
         return None
 
 
+def require_memory(need: int, what: str) -> None:
+    """Refuse (ValueError) an array of need bytes beyond physical memory."""
+    have = physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{what} needs {need} bytes, more than the {have} bytes of "
+            "physical memory"
+        )
+
+
+def require_chain_memory(n: int, cfg: ChainConfig) -> None:
+    """Refuse (ValueError) a run on n nodes whose co-assignment matrix
+    (8 n^2 bytes) or retained draws (24 bytes each) exceed physical memory."""
+    if cfg.coassign:
+        require_memory(8 * n * n, f"co-assignment tally for n={n}")
+    retained = cfg.retained_per_chain * cfg.chains
+    require_memory(24 * retained, f"draws array ({retained} rows)")
+
+
 def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSamples:
     """Run cfg.chains independent chains and pool their retained draws.
 
     Per chain: init, then total_samples iterations of (label sweep, Gibbs
     update, group exchange). The first burn_in iterations are dropped and
     every thin-th of the rest is tallied, with the groups named so p11 >= p22.
+    Each tallied draw's folded flags are copied into a (TALLY_BLOCK, n) uint8
+    buffer; each full buffer adds its column sums to label_tally and, under
+    cfg.coassign, its Gram matrix to the co-assignment tally. The draws
+    (24 bytes each) and the co-assignment matrix (8 n^2 bytes) are refused
+    before the first chain when they exceed physical memory.
     """
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
@@ -271,25 +327,28 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     retained_per_chain = cfg.retained_per_chain
     total_retained = retained_per_chain * cfg.chains
 
+    require_chain_memory(n, cfg)
     draws = np.empty((total_retained, 3))
     label_tally = np.zeros(n, dtype=np.int64)
-    size_tally = np.zeros(n + 1, dtype=np.int64)
+    sizes = [0] * (n + 1)  # histogram of the group-1 size
+    rows = bytearray(TALLY_BLOCK * n)
+    block = np.frombuffer(rows, dtype=np.uint8).reshape(TALLY_BLOCK, n)
+    filled = 0
     coassign = None
     if cfg.coassign:
         # C = 2 X^T X - t_i - t_j + R over the 0/1 group-1 indicators X of the
-        # R retained draws; X^T X is accumulated in place, COASSIGN_BLOCK
-        # draws per BLAS call. Sums of 0/1 stay exact in float64.
+        # R retained draws; X^T X is accumulated in place, one buffer of draws
+        # per BLAS call. Sums of 0/1 stay exact in float64.
         from scipy.linalg.blas import dgemm
 
-        need, have = 8 * n * n, physical_memory()
-        if have is not None and need > have:
-            raise ValueError(
-                f"co-assignment tally needs {need} bytes for n={n}, "
-                f"more than the {have} bytes of physical memory"
-            )
         coassign = np.zeros((n, n), order="F")
-        block = np.zeros((n, COASSIGN_BLOCK), order="F")
-        filled = 0
+
+    def tally_block(x: np.ndarray) -> None:
+        np.add(label_tally, x.sum(axis=0, dtype=np.int64), out=label_tally)
+        if coassign is not None:
+            xt = x.T.astype(np.float64)  # (n, draws) in Fortran order
+            dgemm(1.0, xt, xt, beta=1.0, c=coassign, trans_b=1, overwrite_c=1)
+
     chain_acceptance = []
     pos = 0
 
@@ -306,26 +365,27 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
             accepted_post += accepted
             if (it - cfg.burn_in + 1) % cfg.thin == 0:
                 fold = state.p.p11 < state.p.p22  # tally p11 >= p22 as group 1
-                draws[pos] = state.p[::-1] if fold else state.p
-                in1 = state.c == 1 + fold
-                label_tally += in1
-                size_tally[state.counts.n2 if fold else state.counts.n1] += 1
-                if coassign is not None:
-                    block[:, filled] = in1
-                    filled += 1
-                    if filled == COASSIGN_BLOCK:
-                        dgemm(1.0, block, block, beta=1.0, c=coassign,
-                              trans_b=1, overwrite_c=1)
-                        filled = 0
+                if fold:
+                    draws[pos] = state.p[::-1]
+                    rows[filled * n:(filled + 1) * n] = state.flags.translate(
+                        EXCHANGE_FLAGS)
+                    sizes[state.counts.n2] += 1
+                else:
+                    draws[pos] = state.p
+                    rows[filled * n:(filled + 1) * n] = state.flags
+                    sizes[state.counts.n1] += 1
+                filled += 1
+                if filled == TALLY_BLOCK:
+                    tally_block(block)
+                    filled = 0
                 pos += 1
         post_sweeps = cfg.total_samples - cfg.burn_in
         chain_acceptance.append(accepted_post / (n * post_sweeps))
 
     assert pos == total_retained
+    if filled:
+        tally_block(block[:filled])
     if coassign is not None:
-        if filled:
-            x = block[:, :filled]
-            dgemm(1.0, x, x, beta=1.0, c=coassign, trans_b=1, overwrite_c=1)
         coassign *= 2
         coassign -= label_tally[:, None]
         coassign -= label_tally[None, :]
@@ -333,7 +393,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     return PosteriorSamples(
         draws=draws,
         label_tally=label_tally,
-        size_tally=size_tally,
+        size_tally=np.array(sizes, dtype=np.int64),
         swap_acceptance_rate=float(np.mean(chain_acceptance)),
         retained=total_retained,
         chain_sizes=(retained_per_chain,) * cfg.chains,

@@ -104,6 +104,29 @@ class TestAnalyze:
                        "--burn-in", "10", "--coassign") == 1
         assert f"needs {8 * 34 * 34} bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, need", [
+        (("--samples", "100000000000", "--burn-in", "0"),
+         "needs 2400000000000 bytes"),
+        (("--chains", "100000000", "--samples", "20", "--burn-in", "10"),
+         "needs 24000000000 bytes"),
+        (("--samples", "100", "--burn-in", "10", "--bins", "100000000000"),
+         "needs 4800000000000 bytes"),
+        (("--samples", "1000", "--burn-in", "0"), "needs 24000 bytes"),
+        (("--samples", "100", "--burn-in", "10", "--bins", "500"),
+         "needs 24000 bytes"),
+    ], ids=["samples", "chains", "bins", "draws-small", "bins-small"])
+    def test_arrays_beyond_memory_are_usage_errors(self, monkeypatch, capsys,
+                                                   argv, need):
+        """Draws (24 bytes each) and density bins (48 bytes each) beyond
+        physical memory fail with one error line before any sampling."""
+        from mesoscale import sampler
+        monkeypatch.setattr(sampler, "physical_memory", lambda: 23999)
+        monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
+        assert run_cli("analyze", "--dataset", "karate", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert need in err
+
     def test_non_finite_prior_is_usage_error(self, monkeypatch, capsys):
         from mesoscale import sampler
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached

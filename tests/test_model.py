@@ -13,12 +13,12 @@ from mesoscale.model import (
     BlockProbs,
     Hyperparameters,
     block_counts,
-    log_likelihood,
     log_marginal_likelihood,
     log_prior_labels,
 )
 from mesoscale.sampler import ChainState, label_sweep
 from mesoscale.synth import GeneratorSpec, generate_sbm
+from reference import log_likelihood
 
 
 def labels(*entries):
@@ -162,7 +162,7 @@ class FirstNodeRng:
 
 def sweep_flips(g, c, p, h, i, u):
     """Whether label_sweep flips node i when i is drawn first with uniform u."""
-    state = ChainState(c=c.copy(), p=p, counts=block_counts(g, c))
+    state = ChainState.of(c, p, block_counts(g, c))
     label_sweep(state, g, h, FirstNodeRng(i, g.n, u))
     return state.c[i] != c[i]
 
@@ -324,3 +324,22 @@ class TestHyperparameters:
             with pytest.raises(ValueError, match="strictly"):
                 Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
                                 a0_22=1, b0_22=1, pi=np.array([0.5, bad]))
+
+    def test_swap_symmetry_and_log_odds_list(self):
+        def prior(pi=0.5, **shapes):
+            kw = dict(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
+                      a0_22=1.0, b0_22=1.0, pi=np.full(3, pi))
+            kw.update(shapes)
+            return Hyperparameters(**kw)
+
+        assert prior().swap_symmetric
+        assert prior(a0_12=3.0, b0_12=0.5).swap_symmetric  # p12 maps to itself
+        assert prior(a0_11=2.0, a0_22=2.0, b0_11=0.3, b0_22=0.3).swap_symmetric
+        assert not prior(pi=0.2).swap_symmetric
+        assert not prior(a0_11=2.0).swap_symmetric
+        assert not prior(b0_22=2.0).swap_symmetric
+        h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
+                            pi=np.array([0.5, 0.5, 0.7]))
+        assert not h.swap_symmetric
+        assert h.log_odds_list == h.log_odds.tolist()
+        assert h.log_odds_list[:2] == [0.0, 0.0]

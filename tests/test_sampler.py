@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from mesoscale.graph import Graph, parse_edge_list
+from mesoscale.graph import Graph, node_bits, parse_edge_list
 from mesoscale.datasets import load_dataset
 from mesoscale.model import (
-    BlockCounts,
     BlockProbs,
     Hyperparameters,
     block_counts,
-    log_likelihood,
     log_prior_labels,
 )
 from mesoscale import sampler
 from mesoscale.sampler import (
-    COASSIGN_BLOCK,
+    TALLY_BLOCK,
     ChainConfig,
     ChainState,
     chain_rng,
@@ -27,64 +25,25 @@ from mesoscale.sampler import (
     run_chain,
 )
 from mesoscale.synth import GeneratorSpec, generate_sbm
-
-
-def loop_label_sweep(state, g, h, rng):
-    """The label sweep with a Python loop over each node's adjacency: the
-    reference that the bit-set neighbour count in label_sweep must match
-    state for state."""
-    n = g.n
-    lp11, l1m11 = sampler._logs(state.p.p11)
-    lp12, l1m12 = sampler._logs(state.p.p12)
-    lp22, l1m22 = sampler._logs(state.p.p22)
-    log_odds = h.log_odds.tolist()
-    order = rng.permutation(n).tolist()
-    us = rng.random(n).tolist()
-    ing1 = (state.c == 1).astype(np.int64).tolist()
-    counts = state.counts
-    n1, n2 = counts.n1, counts.n2
-    M11, M12, M22 = counts.M11, counts.M12, counts.M22
-    accepted = 0
-    for k in range(n):
-        i = order[k]
-        adj = g.adjacency[i]
-        d1 = 0
-        for j in adj:
-            d1 += ing1[j]
-        d2 = len(adj) - d1
-        if ing1[i]:
-            delta = (
-                d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
-                + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
-                - log_odds[i]
-            )
-        else:
-            delta = (
-                d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
-                + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
-                + log_odds[i]
-            )
-        if delta >= 0.0 or us[k] < math.exp(delta):
-            accepted += 1
-            if ing1[i]:
-                ing1[i] = 0
-                n1, n2 = n1 - 1, n2 + 1
-                M11, M12, M22 = M11 - d1, M12 + d1 - d2, M22 + d2
-            else:
-                ing1[i] = 1
-                n1, n2 = n1 + 1, n2 - 1
-                M11, M12, M22 = M11 + d1, M12 + d2 - d1, M22 - d2
-    state.c = np.where(np.array(ing1, dtype=bool), 1, 2).astype(np.int64)
-    state.counts = BlockCounts(
-        M11=M11, M12=M12, M22=M22,
-        m11=n1 * (n1 - 1) // 2, m12=n1 * n2, m22=n2 * (n2 - 1) // 2,
-        n1=n1, n2=n2,
-    )
-    return state, accepted
+from reference import (
+    NumpyState,
+    log_likelihood,
+    loop_label_sweep,
+    numpy_exchange_groups,
+    numpy_run_chain,
+)
 
 
 def make_state(g, c, p):
-    return ChainState(c=c, p=p, counts=block_counts(g, c))
+    return ChainState.of(c, p, block_counts(g, c))
+
+
+def assert_consistent(state, g):
+    """Flags, bit set and counts describe the same labels."""
+    c = state.c
+    assert set(state.flags) <= {0, 1}
+    assert state.bits == node_bits(c == 1)
+    assert state.counts == block_counts(g, c)
 
 
 def path_graph(n):
@@ -133,7 +92,23 @@ class TestInitChain:
         g = path_graph(6)
         h = Hyperparameters.uniform(6)
         state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=9))
-        assert state.counts == block_counts(g, state.c)
+        assert_consistent(state, g)
+
+
+class TestChainState:
+    def test_labels_round_trip(self):
+        c = np.array([1, 2, 2, 1, 1, 2, 1])
+        state = make_state(path_graph(7), c, BlockProbs(0.5, 0.5, 0.5))
+        assert state.flags == bytearray([1, 0, 0, 1, 1, 0, 1])
+        assert state.bits == 0b1011001
+        assert state.c.dtype == np.int64
+        assert np.array_equal(state.c, c)
+
+    def test_labels_are_a_copy(self):
+        state = make_state(path_graph(3), np.array([1, 2, 1]),
+                           BlockProbs(0.5, 0.5, 0.5))
+        state.c[0] = 2
+        assert np.array_equal(state.c, [1, 2, 1])
 
 
 class TestLabelSweep:
@@ -155,7 +130,7 @@ class TestLabelSweep:
             label_sweep(state, g, h, rng)
             gibbs_update_probs(state, h, rng)
             exchange_groups(state, h, rng)
-            assert state.counts == block_counts(g, state.c)
+            assert_consistent(state, g)
 
     def test_zero_cross_probability_never_creates_a_cross_edge(self):
         """At p12 = 0 the sweep's cross-block logs come from p12 clamped to
@@ -171,7 +146,7 @@ class TestLabelSweep:
         for _ in range(200):
             _, flips = label_sweep(state, g, h, rng)
             accepted += flips
-            assert state.counts == block_counts(g, state.c)
+            assert_consistent(state, g)
             assert state.counts.M12 == 0
         assert accepted > 0
 
@@ -199,6 +174,8 @@ class TestLabelSweep:
                 state.p = p
             states.append(state)
             rngs.append(rng)
+        states[1] = NumpyState(c=states[1].c, p=states[1].p,
+                               counts=states[1].counts)
         for _ in range(200):
             _, accepted = label_sweep(states[0], g, h, rngs[0])
             _, expected = loop_label_sweep(states[1], g, h, rngs[1])
@@ -206,9 +183,10 @@ class TestLabelSweep:
             assert np.array_equal(states[0].c, states[1].c)
             assert states[0].counts == states[1].counts
             if update_p:
-                for state, rng in zip(states, rngs):
+                for state, rng, exchange in zip(
+                        states, rngs, (exchange_groups, numpy_exchange_groups)):
                     gibbs_update_probs(state, h, rng)
-                    exchange_groups(state, h, rng)
+                    exchange(state, h, rng)
                 assert states[0].p == states[1].p
 
     def test_single_free_node_visits_both_groups_evenly(self):
@@ -263,11 +241,7 @@ class TestLabelSweep:
         freq = np.zeros(2 ** n)
         for _ in range(sweeps):
             label_sweep(state, g, h, rng)
-            mask = 0
-            for k in range(n):
-                if state.c[k] == 1:
-                    mask |= 1 << k
-            freq[mask] += 1
+            freq[state.bits] += 1  # bit k set: node k in group 1
         freq /= sweeps
         tv = 0.5 * np.abs(freq - target).sum()
         assert tv < 0.02
@@ -362,7 +336,7 @@ class TestExchangeGroups:
         state = make_state(self.G, c.copy(), p)
         rng = StubRng(u)
         exchange_groups(state, self.H, rng)
-        assert state.counts == block_counts(self.G, state.c)
+        assert_consistent(state, self.G)
         return state, rng.draws
 
     def test_accepts_with_the_prior_ratio(self):
@@ -396,7 +370,7 @@ class TestExchangeGroups:
         exchange_groups(state, h, rng)
         assert rng.draws == 1
         assert np.array_equal(state.c, 3 - c)
-        assert state.counts == block_counts(g, state.c)
+        assert_consistent(state, g)
 
     @pytest.mark.parametrize("h,c", [
         (Hyperparameters.uniform(5, a0=2.0, b0=0.5), [1, 2, 2, 1, 2]),
@@ -412,7 +386,7 @@ class TestExchangeGroups:
         assert rng.draws == 0
         assert np.array_equal(state.c, c)
         assert state.p == p
-        assert state.counts == block_counts(g, c)
+        assert_consistent(state, g)
 
 
 class TestRunChain:
@@ -476,11 +450,58 @@ class TestRunChain:
             ChainConfig(total_samples=10, burn_in=5, thin=10)
 
 
+def karate_prior(a, b, pi):
+    """Shapes (a11, a12, a22) and (b11, b12, b22) with per-node pi on karate."""
+    return Hyperparameters(a0_11=a[0], b0_11=b[0], a0_12=a[1], b0_12=b[1],
+                           a0_22=a[2], b0_22=b[2], pi=pi)
+
+
+class TestMatchesNumpyStateReference:
+    """run_chain against numpy_run_chain: the same chains with the labels in
+    a numpy array, the reference adjacency-loop sweep, an exchange that always
+    computes its ratio, and every draw tallied on its own."""
+
+    K = 34  # karate's node count
+    CASES = {
+        "pi-0.5": (Hyperparameters.uniform(K), dict(
+            total_samples=300, burn_in=100, seed=1)),
+        "pi-0.2": (Hyperparameters.uniform(K, a0=0.3, pi=0.2), dict(
+            total_samples=300, burn_in=100, seed=2, chains=2)),
+        "asymmetric-per-node-pi": (karate_prior(
+            (3.0, 1.0, 0.5), (1.0, 2.0, 2.0), np.linspace(0.15, 0.85, K)),
+            dict(total_samples=400, burn_in=100, seed=3, thin=3, chains=2)),
+        "thin-3-three-chains-degree": (Hyperparameters.uniform(K), dict(
+            total_samples=250, burn_in=50, seed=4, thin=3, chains=3,
+            init="degree_split")),
+        "retained-31": (Hyperparameters.uniform(K, pi=0.3), dict(
+            total_samples=41, burn_in=10, seed=5)),
+        "retained-32": (Hyperparameters.uniform(K), dict(
+            total_samples=42, burn_in=10, seed=6)),
+        "retained-33": (Hyperparameters.uniform(K, pi=0.3), dict(
+            total_samples=43, burn_in=10, seed=7)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_draws_and_tallies(self, case):
+        g = load_dataset("karate")
+        h, kw = self.CASES[case]
+        cfg = ChainConfig(coassign=True, **kw)
+        s = run_chain(g, h, cfg)
+        ref = numpy_run_chain(g, h, cfg)
+        if case.startswith("retained-"):
+            assert s.retained == int(case.split("-")[1])
+        assert np.array_equal(s.draws, ref["draws"])
+        assert np.array_equal(s.label_tally, ref["label_tally"])
+        assert np.array_equal(s.size_tally, ref["size_tally"])
+        assert np.array_equal(s.coassign_tally, ref["coassign_tally"])
+        assert s.chain_acceptance == ref["chain_acceptance"]
+
+
 class TestCoassignTally:
     # (total_samples, burn_in, thin, chains, retained): 300 is not a multiple
     # of the BLAS block, 30 is below it, 64 fills it exactly twice
     CONFIGS = [(400, 100, 3, 3, 300), (40, 10, 3, 3, 30),
-               (43, 11, 1, 2, 2 * COASSIGN_BLOCK)]
+               (43, 11, 1, 2, 2 * TALLY_BLOCK)]
 
     @pytest.mark.parametrize("total,burn_in,thin,chains,retained", CONFIGS)
     def test_matches_recount_from_stored_labels(self, total, burn_in, thin,
