@@ -67,7 +67,7 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burn-in", type=int, default=5000, help="iterations to discard")
     p.add_argument("--thin", type=int, default=1, help="retain every thin-th draw")
     p.add_argument("--chains", type=int, default=1, help="independent chains to pool")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
     p.add_argument("--init", choices=("random", "degree"), default="random",
                    help="label initialization")
     p.add_argument("--coassign", action="store_true",
@@ -77,15 +77,28 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
                         "mesoscale.coassignment_matrix")
 
 
-def _bins(text: str) -> int:
-    """--bins, checked here so that a bad value fails before any sampling."""
+def _at_least(low: int):
+    """An argparse type for integers >= low: a bad value fails at parse time,
+    with a message that names the option, before any work."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _sizes(text: str) -> tuple[int, int]:
+    """--sizes: two block sizes n1,n2."""
     try:
-        bins = int(text)
+        n1, n2 = (int(t) for t in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if bins < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {bins}")
-    return bins
+        raise argparse.ArgumentTypeError(
+            f"expected two block sizes n1,n2, got {text!r}") from None
+    return n1, n2
 
 
 def _load_graph(args) -> tuple[Graph, str]:
@@ -179,10 +192,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     _check_outputs(f"{args.out}.edges")
-    if args.sizes:
-        n1, n2 = (int(t) for t in args.sizes.split(","))
-        sizes = (n1, n2)
-    else:
+    sizes = args.sizes
+    if sizes is None:
         n1 = round(args.frac * args.n)
         sizes = (n1, args.n - n1)
     spec = GeneratorSpec(
@@ -201,22 +212,29 @@ def cmd_generate(args) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid range must be start:stop:step")
-        start, stop, step = (float(t) for t in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(np.linspace(start, start + step * (count - 1), count)
-                     .round(10).tolist())
-    return tuple(float(t) for t in text.split(","))
+    """--grid: p12 values as a comma list or start:stop:step."""
+    is_range = ":" in text
+    try:
+        values = [float(t) for t in text.split(":" if is_range else ",")]
+    except ValueError:
+        raise ValueError("--grid takes a comma list or start:stop:step of "
+                         f"numbers, got {text!r}") from None
+    if not is_range:
+        return tuple(values)
+    if len(values) != 3:
+        raise ValueError(f"--grid range must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if not (step > 0 and stop >= start):
+        raise ValueError(
+            f"--grid range needs step > 0 and stop >= start, got {text!r}")
+    count = int(round((stop - start) / step)) + 1
+    return tuple(np.linspace(start, start + step * (count - 1), count)
+                 .round(10).tolist())
 
 
 def cmd_simulate(args) -> int:
     _check_outputs(args.out, args.raw_out)
-    grid = _parse_grid(args.grid) if args.grid else PAPER_GRID
+    grid = PAPER_GRID if args.grid is None else _parse_grid(args.grid)
     n1 = round(args.frac * args.n)
     spec = SweepSpec(
         n=args.n, sizes=(n1, args.n - n1),
@@ -264,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_prior_args(p)
     _add_chain_args(p)
-    p.add_argument("--bins", type=_bins, default=50,
+    p.add_argument("--bins", type=_at_least(2), default=50,
                    help="density histogram bins (at least 2)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -281,11 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--frac", type=float, default=0.4,
                    help="fraction of nodes in block 1")
-    p.add_argument("--sizes", help="explicit block sizes n1,n2 (overrides --frac)")
+    p.add_argument("--sizes", type=_sizes,
+                   help="explicit block sizes n1,n2 (overrides --frac)")
     p.add_argument("--p11", type=float, required=True)
     p.add_argument("--p12", type=float, required=True)
     p.add_argument("--p22", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", default="sbm", help="output prefix")
     p.set_defaults(func=cmd_generate)
 
@@ -299,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--samples", type=int, default=1500)
     p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", help="sweep table CSV path (default stdout)")
     p.add_argument("--raw-out", metavar="FILE",
                    help="also write per-replicate verdicts as CSV")

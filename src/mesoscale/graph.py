@@ -55,6 +55,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self.adjacency)
 
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        """degrees as an int64 array, for vectorised per-node terms."""
+        return np.array(self.degrees, dtype=np.int64)
+
     def edges(self):
         """All edges as (i, j) internal-id pairs with i < j, sorted."""
         for i in range(self.n):

@@ -4,7 +4,9 @@ Draw classification is invariant to exchanging the groups (p12 is compared
 against min/max of p11 and p22), so verdicts do not depend on their names.
 Label summaries call the group with p11 >= p22 in each draw "group 1".
 Ties on the category boundaries go to core-periphery, making the three
-categories a partition of the draw space.
+categories a partition of the draw space. scipy.special is imported only
+inside the exact oracle's helpers (_beta_pdf, _conditional_orderings), so
+the sampling commands start without scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, xlog1py, xlogy
 
 from .graph import Graph
 from .model import (
@@ -175,6 +176,8 @@ def _simpson_weights(points: int) -> np.ndarray:
 
 
 def _beta_pdf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    from scipy.special import betaln, xlog1py, xlogy
+
     f = np.exp(xlogy(a - 1, x) + xlog1py(b - 1, -x) - betaln(a, b))
     # shapes < 1 make the density unbounded at an endpoint; drop those grid
     # points rather than propagate inf through the quadrature
@@ -213,6 +216,8 @@ def _conditional_orderings(
     each is an integral over p12's density, here by Simpson on `points` grid
     points. The Beta functions are evaluated once per distinct shape.
     """
+    from scipy.special import betainc
+
     within, shape_index = np.unique(np.concatenate([
         np.stack([counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11], axis=1),
         np.stack([counts.M22 + h.a0_22, counts.m22 - counts.M22 + h.b0_22], axis=1),

@@ -1,7 +1,9 @@
 """Two-block SBM mathematics: sufficient statistics and log densities.
 
 All arithmetic is done in log space. Degenerate blocks (n1 = 0 or n2 = 0)
-are legal and contribute zero terms.
+are legal and contribute zero terms. scipy.special is imported only inside
+log_marginal_likelihood, which only the exact oracle calls, so the sampling
+commands start without scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betaln
 
 from .graph import Graph, node_bits
 
@@ -66,7 +67,6 @@ class Hyperparameters:
     b0_22: float
     pi: np.ndarray
     log_odds: np.ndarray = field(init=False, repr=False)  # log(pi / (1 - pi))
-    log_odds_list: list[float] = field(init=False, repr=False)  # the same, as floats
     # the exchange of the two groups leaves the prior unchanged
     swap_symmetric: bool = field(init=False, repr=False)
 
@@ -81,7 +81,6 @@ class Hyperparameters:
         object.__setattr__(self, "pi", pi)
         log_odds = np.log(pi) - np.log1p(-pi)
         object.__setattr__(self, "log_odds", log_odds)
-        object.__setattr__(self, "log_odds_list", log_odds.tolist())
         object.__setattr__(self, "swap_symmetric", bool(
             self.a0_11 == self.a0_22 and self.b0_11 == self.b0_22
             and not log_odds.any()))
@@ -124,6 +123,8 @@ def log_marginal_likelihood(
     empty blocks contribute exactly zero. Elementwise when the counts are
     arrays, one entry per set of counts.
     """
+    from scipy.special import betaln
+
     return (
         betaln(counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11)
         - betaln(h.a0_11, h.b0_11)

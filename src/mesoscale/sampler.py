@@ -20,6 +20,21 @@ steps. At mean degree 20 that beats a loop over the adjacency at n = 10000
 and loses at n = 30000, far above the bundled datasets and the benchmark's
 3000 nodes. ChainState.c, the {1, 2} label array, is derived on demand.
 
+The sweep's log acceptance ratio for flipping node i, with d1 its group-1
+neighbours, is taken in a reduced form. With w1, v1 (w2, v2) the log-ratios
+per edge and per non-edge of moving a pair from block 11 to 12 (12 to 22):
+
+    group 1 -> 2:  delta = a*d1 + b_i + k1
+    group 2 -> 1:  delta = k0 - (a*d1 + b_i)
+
+    a   = (w1 - v1) - (w2 - v2)
+    b_i = deg_i*(w2 - v2) - log_odds_i
+    k1  = (n1 - 1)*v1 + n2*v2,   k0 = -(n2 - 1)*v2 - n1*v1
+
+a is fixed by p, b is one numpy vector per sweep gathered in visiting order,
+and k1, k0 change only when a flip is accepted, so each proposal costs one
+popcount and one multiply-add. A flip is accepted when log u < delta.
+
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
 state, so exchange_groups returns at once. run_chain copies each retained,
 folded row of flags into one (TALLY_BLOCK, n) uint8 buffer and builds numpy
@@ -153,7 +168,7 @@ def init_chain(
     if cfg.init == "random_labels":
         c = np.where(rng.random(g.n) < h.pi, 1, 2).astype(np.int64)
     else:
-        degrees = np.array(g.degrees)
+        degrees = g.degree_array
         c = np.where(degrees >= np.median(degrees), 1, 2).astype(np.int64)
     return ChainState.of(c, p, block_counts(g, c))
 
@@ -169,15 +184,19 @@ def label_sweep(
 ) -> tuple[ChainState, int]:
     """One Metropolis pass over all nodes in a fresh uniformly random order.
 
-    Each node's label flip is accepted with min(1, likelihood ratio x prior
-    ratio); counts are updated incrementally from the node's incident pairs.
-    Neighbours are counted against state.bits, and an accepted flip toggles
-    the node in state.bits and state.flags (module docstring); counts are
-    rebuilt only when some flip was accepted. The ratio is taken at p clamped
-    into [P_FLOOR, P_CEIL] (module docstring); a flip impossible at a p of
-    exactly 0 or 1 then costs about 744 per edge at p = 0 or 36.7 per non-edge
-    at p = 1, so it is all but never accepted. Mutates ``state`` in place and
-    returns it with the accepted-flip count.
+    A node's label flip has log acceptance ratio delta (likelihood ratio x
+    prior ratio) in the reduced form of the module docstring: a*d1 + b_i + k1
+    for a node in group 1 and k0 - (a*d1 + b_i) for one in group 2, where d1
+    counts the node's neighbours in state.bits. It is accepted when
+    log u < delta, with the n values of log u taken in one np.log (u == 0
+    gives -inf and is accepted). An accepted flip toggles the node in
+    state.bits and state.flags, updates the counts incrementally and
+    recomputes k1, k0; counts are rebuilt only when some flip was accepted.
+    The logs are taken at p clamped into [P_FLOOR, P_CEIL] (module
+    docstring); a flip impossible at a p of exactly 0 or 1 then costs about
+    744 per edge at p = 0 or 36.7 per non-edge at p = 1, so it is all but
+    never accepted. Draws one permutation and n uniforms. Mutates ``state``
+    in place and returns it with the accepted-flip count.
     """
     n = g.n
     lp11, l1m11 = _logs(state.p.p11)
@@ -186,50 +205,49 @@ def label_sweep(
     # per-pair log-ratios of a 1 -> 2 flip; a 2 -> 1 flip negates them exactly
     w1, v1 = lp12 - lp11, l1m12 - l1m11
     w2, v2 = lp22 - lp12, l1m22 - l1m12
+    a = (w1 - v1) - (w2 - v2)
 
-    log_odds = h.log_odds_list
-    order = rng.permutation(n).tolist()
-    us = rng.random(n).tolist()
+    order = rng.permutation(n)
+    with np.errstate(divide="ignore"):
+        log_us = np.log(rng.random(n)).tolist()
+    bs = ((w2 - v2) * g.degree_array - h.log_odds)[order].tolist()
 
     masks, degrees = g.neighbour_masks, g.degrees
     flags, in1 = state.flags, state.bits
     counts = state.counts
     n1, n2 = counts.n1, counts.n2
     M11, M12, M22 = counts.M11, counts.M12, counts.M22
+    k1 = (n1 - 1) * v1 + n2 * v2
+    k0 = -(n2 - 1) * v2 - n1 * v1
     accepted = 0
 
-    for i, u in zip(order, us):
+    for i, b, log_u in zip(order.tolist(), bs, log_us):
         d1 = (masks[i] & in1).bit_count()
-        d2 = degrees[i] - d1
+        x = a * d1 + b
         if flags[i]:
-            delta = (
-                d1 * w1 + (n1 - 1 - d1) * v1
-                + d2 * w2 + (n2 - d2) * v2
-                - log_odds[i]
-            )
+            if log_u >= x + k1:
+                continue
+            flags[i] = 0
+            n1 -= 1
+            n2 += 1
+            d2 = degrees[i] - d1
+            M11 -= d1
+            M12 += d1 - d2
+            M22 += d2
         else:
-            delta = (
-                -d2 * w2 - (n2 - 1 - d2) * v2
-                - d1 * w1 - (n1 - d1) * v1
-                + log_odds[i]
-            )
-        if delta >= 0.0 or u < math.exp(delta):
-            accepted += 1
-            in1 ^= 1 << i
-            if flags[i]:
-                flags[i] = 0
-                n1 -= 1
-                n2 += 1
-                M11 -= d1
-                M12 += d1 - d2
-                M22 += d2
-            else:
-                flags[i] = 1
-                n1 += 1
-                n2 -= 1
-                M22 -= d2
-                M12 += d2 - d1
-                M11 += d1
+            if log_u >= k0 - x:
+                continue
+            flags[i] = 1
+            n1 += 1
+            n2 -= 1
+            d2 = degrees[i] - d1
+            M22 -= d2
+            M12 += d2 - d1
+            M11 += d1
+        accepted += 1
+        in1 ^= 1 << i
+        k1 = (n1 - 1) * v1 + n2 * v2
+        k0 = -(n2 - 1) * v2 - n1 * v1
 
     if accepted:
         state.bits = in1

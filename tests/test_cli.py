@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -230,6 +231,16 @@ class TestGenerate:
         labels = (tmp_path / "y.labels").read_text().splitlines()
         assert sum(1 for line in labels if line.endswith(" 1")) == 3
 
+    def test_sizes_without_two_values_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "generate_sbm", None)  # must not be reached
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--n", "10", "--sizes", "3", "--p11", "0.5",
+                    "--p12", "0.5", "--p22", "0.5", "--out", str(tmp_path / "z"))
+        assert exc.value.code == 1
+        assert "--sizes: expected two block sizes n1,n2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sizes_not_summing_is_usage_error(self, tmp_path):
         assert run_cli("generate", "--n", "10", "--sizes", "3,5",
                        "--p11", "0.5", "--p12", "0.5", "--p22", "0.5",
@@ -292,6 +303,22 @@ class TestSimulate:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "0.3:0.1", "--replicates", "1",
                        "--samples", "50", "--burn-in", "10") == 1
+
+    @pytest.mark.parametrize("grid, message", [
+        ("", "comma list or start:stop:step"),
+        ("0.25:0.05:0.025", "stop >= start"),
+        ("0.05:0.25:0", "step > 0"),
+    ], ids=["empty", "descending", "zero-step"])
+    def test_grid_errors_name_the_option(self, monkeypatch, capsys, grid,
+                                         message):
+        """An empty grid is not the paper grid, and a descending range is
+        refused with a message naming --grid; neither runs a fit."""
+        from mesoscale import synth
+        monkeypatch.setattr(synth, "run_chain", None)  # must not be reached
+        assert run_cli("simulate", f"--grid={grid}", "--replicates", "1",
+                       "--samples", "50", "--burn-in", "10") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid") and message in err
 
 
 class TestOracle:
@@ -358,16 +385,48 @@ def test_cli_entry_point_help():
         assert sub in proc.stdout
 
 
-def test_cli_import_leaves_out_oracle_only_scipy_modules():
-    # no command needs these, not even the oracle; importing them costs ~1 s
-    code = ("import sys, mesoscale.cli; "
-            "from mesoscale import Graph, Hyperparameters, "
-            "exact_structure_posterior; "
-            "exact_structure_posterior(Graph.from_edges([(0, 1)], n=3), "
-            "Hyperparameters.uniform(3)); "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') "
-            "if m in sys.modules])")
+@pytest.mark.parametrize("command", [
+    ["analyze", "--dataset", "karate", "--samples", "30", "--burn-in", "10"],
+    ["simulate", "--grid", "0.1", "--replicates", "1", "--samples", "30",
+     "--burn-in", "10"],
+    ["generate", "--n", "10", "--p11", "0.5", "--p12", "0.1", "--p22", "0.5"],
+], ids=["analyze", "simulate", "generate"])
+def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
+    for name in ("run_chain", "run_sweep", "generate_sbm"):
+        monkeypatch.setattr(cli, name, None)  # must not be reached
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--seed", "-1", "--out", str(tmp_path / "x"))
+    assert exc.value.code == 1
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
+def test_only_the_oracle_imports_scipy(tmp_path):
+    """analyze, simulate and generate (without --coassign) run on numpy
+    alone; the oracle loads scipy.special and nothing heavier."""
+    code = textwrap.dedent(f"""
+        import sys
+        import mesoscale
+        import mesoscale.cli
+        out = {str(tmp_path)!r}
+        for argv in (
+            ["analyze", "--dataset", "karate", "--samples", "40",
+             "--burn-in", "10", "--out", out + "/a.json",
+             "--emit-traces", out + "/t.csv", "--emit-densities", out + "/d.csv"],
+            ["simulate", "--n", "12", "--grid", "0.1", "--replicates", "1",
+             "--samples", "40", "--burn-in", "10", "--out", out + "/s.csv"],
+            ["generate", "--n", "10", "--p11", "0.5", "--p12", "0.1",
+             "--p22", "0.5", "--out", out + "/g"],
+        ):
+            assert mesoscale.cli.main(argv) == 0, argv
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+        mesoscale.exact_structure_posterior(
+            mesoscale.Graph.from_edges([(0, 1)], n=3),
+            mesoscale.Hyperparameters.uniform(3))
+        print([m in sys.modules
+               for m in ("scipy.special", "scipy.stats", "scipy.integrate")])
+    """)
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[True, False, False]"]

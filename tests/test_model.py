@@ -325,7 +325,7 @@ class TestHyperparameters:
                 Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
                                 a0_22=1, b0_22=1, pi=np.array([0.5, bad]))
 
-    def test_swap_symmetry_and_log_odds_list(self):
+    def test_swap_symmetry_and_log_odds(self):
         def prior(pi=0.5, **shapes):
             kw = dict(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
                       a0_22=1.0, b0_22=1.0, pi=np.full(3, pi))
@@ -341,5 +341,4 @@ class TestHyperparameters:
         h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
                             pi=np.array([0.5, 0.5, 0.7]))
         assert not h.swap_symmetric
-        assert h.log_odds_list == h.log_odds.tolist()
-        assert h.log_odds_list[:2] == [0.0, 0.0]
+        assert h.log_odds.tolist() == [0.0, 0.0, math.log(0.7) - math.log1p(-0.7)]

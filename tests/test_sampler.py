@@ -150,21 +150,38 @@ class TestLabelSweep:
             assert state.counts.M12 == 0
         assert accepted > 0
 
-    @pytest.mark.parametrize("g, p, update_p", [
-        (load_dataset("karate"), None, True),
-        (load_dataset("dolphins"), None, True),
+    @pytest.mark.parametrize("g, p, update_p, prior", [
+        (load_dataset("karate"), None, True, None),
+        (load_dataset("dolphins"), None, True, None),
         # 200-node SBM plus 30 isolated nodes: masks of many digits and zeros
         (Graph.from_edges(generate_sbm(GeneratorSpec(
             n=200, sizes=(80, 120), p=BlockProbs(0.08, 0.02, 0.05), seed=17)
-        )[0].edges(), n=230), None, True),
-        (Graph.from_edges([], n=1), None, True),
+        )[0].edges(), n=230), None, True, None),
+        (Graph.from_edges([], n=1), None, True, None),
         (Graph.from_edges([(0, 1), (1, 2), (3, 4)], n=7),
-         BlockProbs(0.6, 0.0, 0.3), False),
-        (load_dataset("karate"), BlockProbs(1.0, 0.0, 0.2), False),
+         BlockProbs(0.6, 0.0, 0.3), False, None),
+        (load_dataset("karate"), BlockProbs(1.0, 0.0, 0.2), False, None),
+        # swap-symmetric prior: every log-odds is 0 and the exchange is skipped
+        (load_dataset("karate"), None, True,
+         lambda n: Hyperparameters.uniform(n, pi=0.5)),
+        # per-node pi: each node's log-odds must follow it into visiting order
+        (load_dataset("dolphins"), None, True,
+         lambda n: Hyperparameters(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
+                                   a0_22=1.0, b0_22=1.0,
+                                   pi=np.linspace(0.15, 0.85, n))),
+        (load_dataset("karate"), None, True,
+         lambda n: Hyperparameters(a0_11=2.0, b0_11=0.7, a0_12=1.0, b0_12=3.0,
+                                   a0_22=0.5, b0_22=1.5,
+                                   pi=np.linspace(0.85, 0.15, n))),
+        (load_dataset("dolphins"), None, True,
+         lambda n: Hyperparameters(a0_11=3.0, b0_11=1.0, a0_12=0.4, b0_12=2.0,
+                                   a0_22=1.0, b0_22=0.5, pi=np.full(n, 0.3))),
     ], ids=["karate", "dolphins", "sbm-200-isolated", "single-node",
-            "p12-zero", "karate-p-at-0-and-1"])
-    def test_matches_adjacency_loop_state_for_state(self, g, p, update_p):
-        h = Hyperparameters.uniform(g.n, pi=0.4)
+            "p12-zero", "karate-p-at-0-and-1", "karate-flat-half",
+            "dolphins-per-node-pi", "karate-asymmetric-per-node-pi",
+            "dolphins-asymmetric"])
+    def test_matches_adjacency_loop_state_for_state(self, g, p, update_p, prior):
+        h = (prior or (lambda n: Hyperparameters.uniform(n, pi=0.4)))(g.n)
         states, rngs = [], []
         for _ in range(2):
             rng = chain_rng(11, 0)
