@@ -3,7 +3,6 @@ structure in undirected networks via a two-block stochastic block model."""
 
 from .graph import Graph, GraphParseError, parse_edge_list
 from .inference import (
-    DensitySummary,
     StructureVerdict,
     classify_structure,
     coassignment_matrix,
@@ -18,7 +17,6 @@ from .model import (
     Hyperparameters,
     block_counts,
     log_marginal_likelihood,
-    log_prior_labels,
 )
 from .sampler import (
     ChainConfig,
@@ -39,7 +37,6 @@ __all__ = [
     "BlockProbs",
     "ChainConfig",
     "ChainState",
-    "DensitySummary",
     "GeneratorSpec",
     "Graph",
     "GraphParseError",
@@ -59,7 +56,6 @@ __all__ = [
     "init_chain",
     "label_sweep",
     "log_marginal_likelihood",
-    "log_prior_labels",
     "membership_probabilities",
     "parse_edge_list",
     "run_chain",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +64,14 @@ def _add_prior_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=15000, help="total MCMC iterations")
+    p.add_argument("--samples", type=_bounded(1), default=15000,
+                   help="total MCMC iterations")
     p.add_argument("--burn-in", type=int, default=5000, help="iterations to discard")
-    p.add_argument("--thin", type=int, default=1, help="retain every thin-th draw")
-    p.add_argument("--chains", type=int, default=1, help="independent chains to pool")
-    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed")
+    p.add_argument("--thin", type=_bounded(1), default=1,
+                   help="retain every thin-th draw")
+    p.add_argument("--chains", type=_bounded(1), default=1,
+                   help="independent chains to pool")
+    p.add_argument("--seed", type=_bounded(0), default=0, help="RNG seed")
     p.add_argument("--init", choices=("random", "degree"), default="random",
                    help="label initialization")
     p.add_argument("--coassign", action="store_true",
@@ -77,16 +81,19 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
                         "mesoscale.coassignment_matrix")
 
 
-def _at_least(low: int):
-    """An argparse type for integers >= low: a bad value fails at parse time,
-    with a message that names the option, before any work."""
-    def parse(text: str) -> int:
+def _bounded(low, high=None, cast=int):
+    """An argparse type for numbers in [low, high] (no upper bound when high
+    is None): a bad value fails at parse time, with a message that names the
+    option, before any work."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}") from None
+        if not (low <= value if high is None else low <= value <= high):  # nan too
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     return parse
 
@@ -98,6 +105,9 @@ def _sizes(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected two block sizes n1,n2, got {text!r}") from None
+    if n1 < 0 or n2 < 0:
+        raise argparse.ArgumentTypeError(
+            f"block sizes must be nonnegative, got {text!r}")
     return n1, n2
 
 
@@ -172,8 +182,9 @@ def cmd_analyze(args) -> int:
     samples = run_chain(g, h, cfg)
     duration = time.perf_counter() - t0
     verdict = classify_structure(samples)
+    density = density_summary(samples, args.bins)
     report = report_mod.build_analysis_report(
-        g, source, h, cfg, samples, verdict, bins=args.bins,
+        g, source, h, cfg, samples, verdict, density,
         duration_seconds=duration if args.timing else None,
     )
     text = (report_mod.report_json(report) if args.format == "json"
@@ -183,9 +194,8 @@ def cmd_analyze(args) -> int:
         Path(args.emit_traces).write_text(report_mod.traces_csv(samples),
                                           encoding="utf-8")
     if args.emit_densities:
-        Path(args.emit_densities).write_text(
-            report_mod.densities_csv(density_summary(samples, args.bins)),
-            encoding="utf-8")
+        Path(args.emit_densities).write_text(report_mod.densities_csv(density),
+                                             encoding="utf-8")
     print(f"analyzed {source}: n={g.n} m={g.m} in {duration:.1f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -263,7 +273,7 @@ def cmd_oracle(args) -> int:
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "input": {"source": source, "n": g.n, "m": g.m},
-        "verdict": report_mod.verdict_dict(verdict),
+        "verdict": asdict(verdict),
         "quadrature_points": args.quad_points,
     }
     _write_out(report_mod.report_json(payload), args.out)
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_prior_args(p)
     _add_chain_args(p)
-    p.add_argument("--bins", type=_at_least(2), default=50,
+    p.add_argument("--bins", type=_bounded(2), default=50,
                    help="density histogram bins (at least 2)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -296,29 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="sample a two-block SBM graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--frac", type=float, default=0.4,
+    p.add_argument("--n", type=_bounded(1), required=True)
+    p.add_argument("--frac", type=_bounded(0.0, 1.0, float), default=0.4,
                    help="fraction of nodes in block 1")
     p.add_argument("--sizes", type=_sizes,
                    help="explicit block sizes n1,n2 (overrides --frac)")
     p.add_argument("--p11", type=float, required=True)
     p.add_argument("--p12", type=float, required=True)
     p.add_argument("--p22", type=float, required=True)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", default="sbm", help="output prefix")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="p12 sweep with replicate averaging")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--frac", type=float, default=0.4)
+    p.add_argument("--n", type=_bounded(1), default=100)
+    p.add_argument("--frac", type=_bounded(0.0, 1.0, float), default=0.4)
     p.add_argument("--p11", type=float, default=0.20)
     p.add_argument("--p22", type=float, default=0.10)
     p.add_argument("--grid", help="p12 values: comma list or start:stop:step "
                                   "(default 0.05:0.25:0.025)")
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--samples", type=int, default=1500)
+    p.add_argument("--replicates", type=_bounded(1), default=100)
+    p.add_argument("--samples", type=_bounded(1), default=1500)
     p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", help="sweep table CSV path (default stdout)")
     p.add_argument("--raw-out", metavar="FILE",
                    help="also write per-replicate verdicts as CSV")

@@ -18,6 +18,9 @@ def node_bits(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+COMMENT_PREFIX = "#"
+
+
 class GraphParseError(ValueError):
     """Edge-list text violates the simple-graph format."""
 
@@ -121,25 +124,17 @@ class Graph:
         )
 
 
-def parse_edge_list(
-    text: str,
-    comment_prefix: str = "#",
-    node_list: list[str] | None = None,
-) -> Graph:
+def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
     """Parse edge-list text into a validated Graph.
 
-    Each non-comment, non-blank line must hold exactly two whitespace-separated
-    node tokens. Duplicate edge lines (either orientation) are collapsed and
-    counted in the diagnostics. ``node_list`` pre-registers node names in
-    order, which is the only way to introduce isolated nodes.
+    Each non-blank line not starting with COMMENT_PREFIX must hold exactly two
+    whitespace-separated node tokens. Duplicate edge lines (either
+    orientation) are collapsed and counted in the diagnostics. ``node_list``
+    pre-registers node names in order, which is the only way to introduce
+    isolated nodes.
     """
     ids: dict[str, int] = {}
     names: list[str] = []
-    if node_list is not None:
-        for name in node_list:
-            if name not in ids:
-                ids[name] = len(names)
-                names.append(name)
 
     def intern(tok: str) -> int:
         i = ids.get(tok)
@@ -149,6 +144,8 @@ def parse_edge_list(
             names.append(tok)
         return i
 
+    for name in node_list or ():
+        intern(name)
     edges = []
     seen = set()
     duplicates = 0
@@ -159,7 +156,7 @@ def parse_edge_list(
         if not stripped:
             blanks += 1
             continue
-        if stripped.startswith(comment_prefix):
+        if stripped.startswith(COMMENT_PREFIX):
             comments += 1
             continue
         tokens = stripped.split()

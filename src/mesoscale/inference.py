@@ -20,7 +20,7 @@ from .model import (
     BlockCounts,
     Hyperparameters,
     log_marginal_likelihood,
-    log_prior_labels,
+    posterior_shapes,
 )
 from .sampler import PosteriorSamples
 
@@ -40,29 +40,6 @@ class StructureVerdict:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_assortative, self.p_core_periphery, self.p_disassortative)
-
-
-@dataclass(frozen=True)
-class ComponentDensity:
-    """Histogram and moments for one block probability."""
-
-    bin_edges: np.ndarray
-    mass: np.ndarray
-    mean: float
-    sd: float
-    q025: float
-    median: float
-    q975: float
-
-
-@dataclass(frozen=True)
-class DensitySummary:
-    p11: ComponentDensity
-    p12: ComponentDensity
-    p22: ComponentDensity
-    prob_p11_gt_p12: float
-    prob_p12_gt_p22: float
-    prob_p11_gt_p22: float
 
 
 def classify_draws(draws: np.ndarray) -> np.ndarray:
@@ -126,35 +103,39 @@ def group_size_posterior(samples: PosteriorSamples) -> np.ndarray:
     return samples.size_tally / samples.retained
 
 
-def _component_density(x: np.ndarray, bins: int) -> ComponentDensity:
+def _component_density(x: np.ndarray, bins: int) -> dict:
     hist, edges = np.histogram(x, bins=bins, range=(0.0, 1.0))
     q025, median, q975 = np.quantile(x, (0.025, 0.5, 0.975))
-    return ComponentDensity(
-        bin_edges=edges,
-        mass=hist / len(x),
-        mean=float(np.mean(x)),
-        sd=float(np.std(x)),
-        q025=float(q025),
-        median=float(median),
-        q975=float(q975),
-    )
+    return {
+        "mean": float(np.mean(x)),
+        "sd": float(np.std(x)),
+        "q025": float(q025),
+        "median": float(median),
+        "q975": float(q975),
+        "bin_edges": edges.tolist(),
+        "mass": (hist / len(x)).tolist(),
+    }
 
 
-def density_summary(samples: PosteriorSamples, bins: int = 50) -> DensitySummary:
-    """Histograms, moments, and pairwise exceedance for the block probabilities."""
+def density_summary(samples: PosteriorSamples, bins: int = 50) -> dict:
+    """The report's density block: per block probability its moments,
+    quantiles and histogram on [0, 1], then the pairwise exceedances."""
     if samples.retained == 0:
         raise ValueError("no retained draws")
     if bins < 2:
         raise ValueError("bins must be at least 2")
     d = samples.draws
-    return DensitySummary(
-        p11=_component_density(d[:, 0], bins),
-        p12=_component_density(d[:, 1], bins),
-        p22=_component_density(d[:, 2], bins),
-        prob_p11_gt_p12=float(np.mean(d[:, 0] > d[:, 1])),
-        prob_p12_gt_p22=float(np.mean(d[:, 1] > d[:, 2])),
-        prob_p11_gt_p22=float(np.mean(d[:, 0] > d[:, 2])),
-    )
+    return {
+        "bins": bins,
+        "p11": _component_density(d[:, 0], bins),
+        "p12": _component_density(d[:, 1], bins),
+        "p22": _component_density(d[:, 2], bins),
+        "exceedance": {
+            "p11_gt_p12": float(np.mean(d[:, 0] > d[:, 1])),
+            "p12_gt_p22": float(np.mean(d[:, 1] > d[:, 2])),
+            "p11_gt_p22": float(np.mean(d[:, 0] > d[:, 2])),
+        },
+    }
 
 
 def _simpson_weights(points: int) -> np.ndarray:
@@ -202,7 +183,7 @@ def _labelling_counts(
     for i, j in g.edges():
         M11 += in1[i] & in1[j]
         M22 += ~(in1[i] | in1[j])
-    log_prior = log_prior_labels(np.full(g.n, 2), h) + sum(
+    log_prior = np.log1p(-h.pi).sum() + sum(
         col * log_odds for col, log_odds in zip(in1, h.log_odds))
     return n1, M11, M22, log_prior
 
@@ -218,14 +199,12 @@ def _conditional_orderings(
     """
     from scipy.special import betainc
 
-    within, shape_index = np.unique(np.concatenate([
-        np.stack([counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11], axis=1),
-        np.stack([counts.M22 + h.a0_22, counts.m22 - counts.M22 + h.b0_22], axis=1),
-    ]), axis=0, return_inverse=True)
+    post11, post12, post22 = (np.stack(ab, axis=1)
+                              for ab in posterior_shapes(counts, h))
+    within, shape_index = np.unique(np.concatenate([post11, post22]), axis=0,
+                                    return_inverse=True)
     s11, s22 = np.split(shape_index, 2)
-    cross, s12 = np.unique(
-        np.stack([counts.M12 + h.a0_12, counts.m12 - counts.M12 + h.b0_12], axis=1),
-        axis=0, return_inverse=True)
+    cross, s12 = np.unique(post12, axis=0, return_inverse=True)
     x = np.linspace(0.0, 1.0, points)
     w = _simpson_weights(points)
     qa = np.zeros(len(s12))

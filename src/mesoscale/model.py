@@ -48,11 +48,7 @@ class BlockCounts:
 
     def swapped(self) -> "BlockCounts":
         """Counts after exchanging the two group names."""
-        return BlockCounts(
-            M11=self.M22, M12=self.M12, M22=self.M11,
-            m11=self.m22, m12=self.m12, m22=self.m11,
-            n1=self.n2, n2=self.n1,
-        )
+        return BlockCounts.of(self.M22, self.M12, self.M11, self.n2, self.n1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +67,8 @@ class Hyperparameters:
     swap_symmetric: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = (self.a0_11, self.b0_11, self.a0_12,
-                  self.b0_12, self.a0_22, self.b0_22)
-        if not all(0 < s < math.inf for s in shapes):  # also rejects nan
+        s11, s12, s22 = self.shapes
+        if not all(0 < s < math.inf for s in s11 + s12 + s22):  # also rejects nan
             raise ValueError("Beta shape parameters must be finite and positive")
         pi = np.asarray(self.pi, dtype=float)
         if not np.all((pi > 0) & (pi < 1)):  # also rejects nan
@@ -82,8 +77,13 @@ class Hyperparameters:
         log_odds = np.log(pi) - np.log1p(-pi)
         object.__setattr__(self, "log_odds", log_odds)
         object.__setattr__(self, "swap_symmetric", bool(
-            self.a0_11 == self.a0_22 and self.b0_11 == self.b0_22
-            and not log_odds.any()))
+            s11 == s22 and not log_odds.any()))
+
+    @property
+    def shapes(self) -> tuple[tuple[float, float], ...]:
+        """The prior Beta shapes (a0, b0) of p11, p12 and p22."""
+        return ((self.a0_11, self.b0_11), (self.a0_12, self.b0_12),
+                (self.a0_22, self.b0_22))
 
     @classmethod
     def uniform(cls, n: int, a0: float = 1.0, b0: float = 1.0, pi: float = 0.5):
@@ -105,13 +105,13 @@ def block_counts(g: Graph, c: np.ndarray) -> BlockCounts:
     return BlockCounts.of(M11, M12, g.m - M11 - M12, n1, g.n - n1)
 
 
-def log_prior_labels(c: np.ndarray, h: Hyperparameters) -> float:
-    """Sum of log pi_i for group-1 nodes and log(1 - pi_i) otherwise."""
-    c = np.asarray(c)
-    if len(c) != len(h.pi):
-        raise ValueError(f"label vector length {len(c)} != pi length {len(h.pi)}")
-    in1 = c == 1
-    return float(np.sum(np.log(h.pi[in1])) + np.sum(np.log1p(-h.pi[~in1])))
+def posterior_shapes(counts: BlockCounts, h: Hyperparameters) -> tuple:
+    """The conjugate Beta shapes (Mij + a0, mij - Mij + b0) of p11, p12 and
+    p22 given the counts; elementwise when the counts are arrays."""
+    (a11, b11), (a12, b12), (a22, b22) = h.shapes
+    return ((counts.M11 + a11, counts.m11 - counts.M11 + b11),
+            (counts.M12 + a12, counts.m12 - counts.M12 + b12),
+            (counts.M22 + a22, counts.m22 - counts.M22 + b22))
 
 
 def log_marginal_likelihood(
@@ -119,17 +119,13 @@ def log_marginal_likelihood(
 ) -> float | np.ndarray:
     """Log likelihood with the block probabilities integrated out analytically.
 
-    Each block pair contributes log B(Mij + a0, mij - Mij + b0) - log B(a0, b0);
+    Each block pair contributes log B(posterior shapes) - log B(prior shapes);
     empty blocks contribute exactly zero. Elementwise when the counts are
     arrays, one entry per set of counts.
     """
     from scipy.special import betaln
 
-    return (
-        betaln(counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11)
-        - betaln(h.a0_11, h.b0_11)
-        + betaln(counts.M12 + h.a0_12, counts.m12 - counts.M12 + h.b0_12)
-        - betaln(h.a0_12, h.b0_12)
-        + betaln(counts.M22 + h.a0_22, counts.m22 - counts.M22 + h.b0_22)
-        - betaln(h.a0_22, h.b0_22)
-    )
+    total = 0.0
+    for post, prior in zip(posterior_shapes(counts, h), h.shapes):
+        total = total + betaln(*post) - betaln(*prior)
+    return total

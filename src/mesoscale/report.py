@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 
 from .graph import Graph
-from .inference import (
-    DensitySummary,
-    StructureVerdict,
-    density_summary,
-    group_size_posterior,
-    membership_by_name,
-)
+from .inference import StructureVerdict, group_size_posterior, membership_by_name
 from .model import Hyperparameters
 from .sampler import ChainConfig, PosteriorSamples
 
@@ -41,48 +36,6 @@ def _hyper_dict(h: Hyperparameters) -> dict:
     }
 
 
-def _chain_dict(cfg: ChainConfig) -> dict:
-    return {
-        "total_samples": cfg.total_samples,
-        "burn_in": cfg.burn_in,
-        "thin": cfg.thin,
-        "seed": cfg.seed,
-        "init": cfg.init,
-        "chains": cfg.chains,
-        "coassign": cfg.coassign,
-    }
-
-
-def verdict_dict(v: StructureVerdict) -> dict:
-    return {
-        "p_assortative": v.p_assortative,
-        "p_core_periphery": v.p_core_periphery,
-        "p_disassortative": v.p_disassortative,
-        "n_samples": v.n_samples,
-        "per_chain": [list(row) for row in v.per_chain] if v.per_chain else None,
-    }
-
-
-def _density_dict(d: DensitySummary) -> dict:
-    out = {"bins": len(d.p11.mass)}
-    for name, comp in (("p11", d.p11), ("p12", d.p12), ("p22", d.p22)):
-        out[name] = {
-            "mean": comp.mean,
-            "sd": comp.sd,
-            "q025": comp.q025,
-            "median": comp.median,
-            "q975": comp.q975,
-            "bin_edges": comp.bin_edges.tolist(),
-            "mass": comp.mass.tolist(),
-        }
-    out["exceedance"] = {
-        "p11_gt_p12": d.prob_p11_gt_p12,
-        "p12_gt_p22": d.prob_p12_gt_p22,
-        "p11_gt_p22": d.prob_p11_gt_p22,
-    }
-    return out
-
-
 def build_analysis_report(
     g: Graph,
     source: str,
@@ -90,10 +43,11 @@ def build_analysis_report(
     cfg: ChainConfig,
     samples: PosteriorSamples,
     verdict: StructureVerdict,
-    bins: int = 50,
+    density: dict,
     duration_seconds: float | None = None,
 ) -> dict:
-    """The full analysis report as a JSON-ready dict with stable key order."""
+    """The full analysis report as a JSON-ready dict with stable key order;
+    density is the block density_summary returns."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "input": {
@@ -104,12 +58,12 @@ def build_analysis_report(
         },
         "config": {
             "hyperparameters": _hyper_dict(h),
-            "chain": _chain_dict(cfg),
+            "chain": asdict(cfg),
         },
-        "verdict": verdict_dict(verdict),
+        "verdict": asdict(verdict),
         "membership": membership_by_name(samples, g),
         "group_size_posterior": group_size_posterior(samples).tolist(),
-        "density": _density_dict(density_summary(samples, bins)),
+        "density": density,
         "swap_acceptance_rate": samples.swap_acceptance_rate,
     }
     if duration_seconds is not None:
@@ -151,10 +105,11 @@ def traces_csv(samples: PosteriorSamples) -> str:
     return "\n".join(lines) + "\n"
 
 
-def densities_csv(d: DensitySummary) -> str:
+def densities_csv(density: dict) -> str:
+    """The histograms of a density_summary block, one row per bin."""
     lines = ["component,bin_left,bin_right,mass"]
-    for name, comp in (("p11", d.p11), ("p12", d.p12), ("p22", d.p22)):
-        edges = comp.bin_edges.tolist()
-        for left, right, mass in zip(edges, edges[1:], comp.mass.tolist()):
+    for name in ("p11", "p12", "p22"):
+        edges = density[name]["bin_edges"]
+        for left, right, mass in zip(edges, edges[1:], density[name]["mass"]):
             lines.append(f"{name},{left!r},{right!r},{mass!r}")
     return "\n".join(lines) + "\n"

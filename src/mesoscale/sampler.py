@@ -8,7 +8,9 @@ Chains are deterministic given (seed, chain_index).
 The Beta prior keeps every block probability strictly inside (0, 1), but a
 Beta draw can round to exactly 0 or 1. So the label sweep takes its logs from
 p clamped to [P_FLOOR, P_CEIL], the nearest floats inside (0, 1): every log is
-finite and one delta expression serves every state. ChainState.p is stored
+finite and one delta expression serves every state. A flip impossible at a
+p of exactly 0 or 1 then costs about 744 per edge (p = 0) or 36.7 per
+non-edge (p = 1), so it is all but never accepted. ChainState.p is stored
 unclamped.
 
 A chain is held in the sweep's own form from init_chain to its last draw:
@@ -38,7 +40,9 @@ popcount and one multiply-add. A flip is accepted when log u < delta.
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
 state, so exchange_groups returns at once. run_chain copies each retained,
 folded row of flags into one (TALLY_BLOCK, n) uint8 buffer and builds numpy
-tallies from a full buffer at a time, not from each draw.
+tallies from a full buffer at a time, not from each draw: each full buffer
+adds its column sums to the label tally and, under coassign, its Gram matrix
+to the co-assignment tally.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .model import (
     BlockProbs,
     Hyperparameters,
     block_counts,
+    posterior_shapes,
 )
 
 INIT_MODES = ("random_labels", "degree_split")
@@ -160,11 +165,7 @@ def init_chain(
     """
     if rng is None:
         rng = chain_rng(cfg.seed, chain_index)
-    p = BlockProbs(
-        p11=float(rng.beta(h.a0_11, h.b0_11)),
-        p12=float(rng.beta(h.a0_12, h.b0_12)),
-        p22=float(rng.beta(h.a0_22, h.b0_22)),
-    )
+    p = BlockProbs(*(float(rng.beta(a, b)) for a, b in h.shapes))
     if cfg.init == "random_labels":
         c = np.where(rng.random(g.n) < h.pi, 1, 2).astype(np.int64)
     else:
@@ -184,19 +185,12 @@ def label_sweep(
 ) -> tuple[ChainState, int]:
     """One Metropolis pass over all nodes in a fresh uniformly random order.
 
-    A node's label flip has log acceptance ratio delta (likelihood ratio x
-    prior ratio) in the reduced form of the module docstring: a*d1 + b_i + k1
-    for a node in group 1 and k0 - (a*d1 + b_i) for one in group 2, where d1
-    counts the node's neighbours in state.bits. It is accepted when
-    log u < delta, with the n values of log u taken in one np.log (u == 0
-    gives -inf and is accepted). An accepted flip toggles the node in
-    state.bits and state.flags, updates the counts incrementally and
-    recomputes k1, k0; counts are rebuilt only when some flip was accepted.
-    The logs are taken at p clamped into [P_FLOOR, P_CEIL] (module
-    docstring); a flip impossible at a p of exactly 0 or 1 then costs about
-    744 per edge at p = 0 or 36.7 per non-edge at p = 1, so it is all but
-    never accepted. Draws one permutation and n uniforms. Mutates ``state``
-    in place and returns it with the accepted-flip count.
+    Each flip is tested with the reduced delta of the module docstring, its
+    logs taken at the clamped p described there; the n values of log u come
+    from one np.log (u == 0 gives -inf and is accepted). An accepted flip
+    toggles the node in state.bits and state.flags and updates the counts
+    incrementally. Draws one permutation and n uniforms. Mutates ``state`` in
+    place and returns it with the accepted-flip count.
     """
     n = g.n
     lp11, l1m11 = _logs(state.p.p11)
@@ -259,12 +253,9 @@ def gibbs_update_probs(
     state: ChainState, h: Hyperparameters, rng: np.random.Generator
 ) -> ChainState:
     """Conjugate Beta draw for each block probability, in p11, p12, p22 order."""
-    counts = state.counts
-    state.p = BlockProbs(
-        p11=float(rng.beta(counts.M11 + h.a0_11, counts.m11 - counts.M11 + h.b0_11)),
-        p12=float(rng.beta(counts.M12 + h.a0_12, counts.m12 - counts.M12 + h.b0_12)),
-        p22=float(rng.beta(counts.M22 + h.a0_22, counts.m22 - counts.M22 + h.b0_22)),
-    )
+    (a11, b11), (a12, b12), (a22, b22) = posterior_shapes(state.counts, h)
+    state.p = BlockProbs(float(rng.beta(a11, b11)), float(rng.beta(a12, b12)),
+                         float(rng.beta(a22, b22)))
     return state
 
 
@@ -332,12 +323,9 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
 
     Per chain: init, then total_samples iterations of (label sweep, Gibbs
     update, group exchange). The first burn_in iterations are dropped and
-    every thin-th of the rest is tallied, with the groups named so p11 >= p22.
-    Each tallied draw's folded flags are copied into a (TALLY_BLOCK, n) uint8
-    buffer; each full buffer adds its column sums to label_tally and, under
-    cfg.coassign, its Gram matrix to the co-assignment tally. The draws
-    (24 bytes each) and the co-assignment matrix (8 n^2 bytes) are refused
-    before the first chain when they exceed physical memory.
+    every thin-th of the rest is tallied, with the groups named so p11 >= p22,
+    through the buffer of the module docstring. Draws or a co-assignment
+    matrix beyond physical memory are refused before the first chain.
     """
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")

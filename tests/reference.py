@@ -1,8 +1,8 @@
 """Reference implementations that the package is checked against.
 
-Plain, slow code with no caches: the collapsed Bernoulli likelihood, and a
-chain whose state is a numpy {1, 2} label array, swept with a Python loop over
-each node's adjacency and tallied draw by draw.
+Plain, slow code with no caches: the label prior, the collapsed Bernoulli
+likelihood, and a chain whose state is a numpy {1, 2} label array, swept with
+a Python loop over each node's adjacency and tallied draw by draw.
 """
 
 import math
@@ -25,6 +25,15 @@ def _bernoulli_block_term(M: int, m: int, p: float) -> float:
     if m - M > 0:
         out += (m - M) * math.log1p(-p) if p < 1.0 else -math.inf
     return out
+
+
+def log_prior_labels(c: np.ndarray, h: Hyperparameters) -> float:
+    """Sum of log pi_i for group-1 nodes and log(1 - pi_i) otherwise."""
+    c = np.asarray(c)
+    if len(c) != len(h.pi):
+        raise ValueError(f"label vector length {len(c)} != pi length {len(h.pi)}")
+    in1 = c == 1
+    return float(np.sum(np.log(h.pi[in1])) + np.sum(np.log1p(-h.pi[~in1])))
 
 
 def log_likelihood(counts: BlockCounts, p: BlockProbs) -> float:

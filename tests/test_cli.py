@@ -166,6 +166,19 @@ class TestAnalyze:
         assert run_cli("analyze", "/nonexistent/edges.txt",
                        "--samples", "100", "--burn-in", "10") == 2
 
+    def test_densities_csv_is_the_report_density_block(self, tmp_path):
+        out, dens = tmp_path / "r.json", tmp_path / "d.csv"
+        assert run_cli("analyze", "--dataset", "karate", "--samples", "300",
+                       "--burn-in", "100", "--bins", "7", "--out", str(out),
+                       "--emit-densities", str(dens)) == 0
+        density = json.loads(out.read_text())["density"]
+        rows = [line.split(",") for line in dens.read_text().splitlines()[1:]]
+        assert density["bins"] == 7 and len(rows) == 3 * 7
+        for name in ("p11", "p12", "p22"):
+            edges, mass = density[name]["bin_edges"], density[name]["mass"]
+            assert [tuple(map(float, row[1:])) for row in rows
+                    if row[0] == name] == list(zip(edges, edges[1:], mass))
+
     def test_csv_format_and_emissions(self, tmp_path):
         out = tmp_path / "r.csv"
         traces = tmp_path / "traces.csv"
@@ -220,9 +233,12 @@ class TestGenerate:
                        "--p12", "0.1", "--p22", "0.1",
                        "--out", str(tmp_path / "x")) == 1
 
-    def test_zero_nodes_is_usage_error(self, tmp_path):
-        assert run_cli("generate", "--n", "0", "--p11", "0.5", "--p12", "0.5",
-                       "--p22", "0.5", "--out", str(tmp_path / "w")) == 1
+    def test_zero_nodes_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--n", "0", "--p11", "0.5", "--p12", "0.5",
+                    "--p22", "0.5", "--out", str(tmp_path / "w"))
+        assert exc.value.code == 1
+        assert "argument --n: must be at least 1" in capsys.readouterr().err
 
     def test_sizes_override(self, tmp_path):
         assert run_cli("generate", "--n", "10", "--sizes", "3,7",
@@ -276,10 +292,12 @@ class TestSimulate:
         assert raw_lines[0] == "p12,replicate,p_assortative,p_cp,p_disassortative"
         assert len(raw_lines) == 1 + 2 * 2
 
-    def test_zero_nodes_is_usage_error(self):
-        assert run_cli("simulate", "--n", "0", "--grid", "0.1",
-                       "--replicates", "1", "--samples", "50",
-                       "--burn-in", "10") == 1
+    def test_zero_nodes_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--n", "0", "--grid", "0.1",
+                    "--replicates", "1", "--samples", "50", "--burn-in", "10")
+        assert exc.value.code == 1
+        assert "argument --n: must be at least 1" in capsys.readouterr().err
 
     def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -385,12 +403,14 @@ def test_cli_entry_point_help():
         assert sub in proc.stdout
 
 
-@pytest.mark.parametrize("command", [
-    ["analyze", "--dataset", "karate", "--samples", "30", "--burn-in", "10"],
-    ["simulate", "--grid", "0.1", "--replicates", "1", "--samples", "30",
-     "--burn-in", "10"],
-    ["generate", "--n", "10", "--p11", "0.5", "--p12", "0.1", "--p22", "0.5"],
-], ids=["analyze", "simulate", "generate"])
+ANALYZE = ["analyze", "--dataset", "karate", "--samples", "30", "--burn-in", "10"]
+SIMULATE = ["simulate", "--grid", "0.1", "--replicates", "1", "--samples", "30",
+            "--burn-in", "10"]
+GENERATE = ["generate", "--n", "10", "--p11", "0.5", "--p12", "0.1", "--p22", "0.5"]
+
+
+@pytest.mark.parametrize("command", [ANALYZE, SIMULATE, GENERATE],
+                         ids=["analyze", "simulate", "generate"])
 def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
     for name in ("run_chain", "run_sweep", "generate_sbm"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
@@ -398,6 +418,34 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
         run_cli(*command, "--seed", "-1", "--out", str(tmp_path / "x"))
     assert exc.value.code == 1
     assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, message", [
+    (ANALYZE, ["--samples", "0"], "argument --samples: must be at least 1"),
+    (ANALYZE, ["--thin", "0"], "argument --thin: must be at least 1"),
+    (ANALYZE, ["--chains", "0"], "argument --chains: must be at least 1"),
+    (SIMULATE, ["--samples", "0"], "argument --samples: must be at least 1"),
+    (SIMULATE, ["--replicates", "0"], "argument --replicates: must be at least 1"),
+    (SIMULATE, ["--frac", "1.5"], "argument --frac: must be in [0.0, 1.0], got 1.5"),
+    (GENERATE, ["--frac", "nan"], "argument --frac: must be in [0.0, 1.0]"),
+    (GENERATE, ["--sizes=-3,19"], "argument --sizes: block sizes must be nonnegative"),
+    # argparse reads a value starting with '-' as an option
+    (GENERATE, ["--sizes", "-3,19"], "argument --sizes: expected one argument"),
+], ids=["analyze-samples", "thin", "chains", "simulate-samples", "replicates",
+        "simulate-frac", "generate-frac", "sizes", "sizes-dash"])
+def test_bad_value_names_the_option(command, option, message, monkeypatch,
+                                    capsys, tmp_path):
+    for name in ("run_chain", "run_sweep", "generate_sbm"):
+        monkeypatch.setattr(cli, name, None)  # must not be reached
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, *option, "--out", str(tmp_path / "x"))
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_every_public_name_resolves():
+    import mesoscale
+    assert [name for name in mesoscale.__all__ if not hasattr(mesoscale, name)] == []
 
 
 def test_only_the_oracle_imports_scipy(tmp_path):

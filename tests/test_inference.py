@@ -26,10 +26,10 @@ from mesoscale.model import (
     Hyperparameters,
     block_counts,
     log_marginal_likelihood,
-    log_prior_labels,
 )
 from mesoscale.sampler import ChainConfig, PosteriorSamples, run_chain
 from mesoscale.synth import GeneratorSpec, generate_sbm
+from reference import log_prior_labels
 
 
 def samples_from_draws(draws, n_nodes=4, label_tally=None, size_tally=None,
@@ -170,11 +170,11 @@ class TestGroupSizePosterior:
 class TestDensitySummary:
     def test_point_mass(self):
         s = samples_from_draws([(0.31, 0.22, 0.13)] * 20)
-        d = density_summary(s, bins=10)
-        assert d.p11.sd == pytest.approx(0.0, abs=1e-15)
-        assert d.p11.mass.sum() == pytest.approx(1.0)
-        assert d.p11.mass[3] == 1.0  # 0.31 falls in [0.3, 0.4)
-        assert d.p11.q025 == d.p11.median == d.p11.q975 == 0.31
+        p11 = density_summary(s, bins=10)["p11"]
+        assert p11["sd"] == pytest.approx(0.0, abs=1e-15)
+        assert sum(p11["mass"]) == pytest.approx(1.0)
+        assert p11["mass"][3] == 1.0  # 0.31 falls in [0.3, 0.4)
+        assert p11["q025"] == p11["median"] == p11["q975"] == 0.31
 
     def test_identifiability_exceedance(self):
         g, _ = generate_sbm(GeneratorSpec(n=9, sizes=(4, 5),
@@ -182,17 +182,18 @@ class TestDensitySummary:
         h = Hyperparameters.uniform(9)
         s = run_chain(g, h, ChainConfig(total_samples=2000, burn_in=400, seed=5))
         d = density_summary(s)
-        assert d.prob_p11_gt_p22 == 1.0
+        assert d["exceedance"]["p11_gt_p22"] == 1.0
 
     def test_quantiles_monotone_and_mass_normalized(self):
         rng = np.random.default_rng(12)
         s = samples_from_draws(rng.beta(2, 5, size=(400, 3)))
         d = density_summary(s, bins=25)
-        for comp in (d.p11, d.p12, d.p22):
-            assert comp.q025 <= comp.median <= comp.q975
-            assert comp.mass.sum() == pytest.approx(1.0)
-            assert len(comp.mass) == 25
-            assert len(comp.bin_edges) == 26
+        assert d["bins"] == 25
+        for comp in (d["p11"], d["p12"], d["p22"]):
+            assert comp["q025"] <= comp["median"] <= comp["q975"]
+            assert sum(comp["mass"]) == pytest.approx(1.0)
+            assert len(comp["mass"]) == 25
+            assert len(comp["bin_edges"]) == 26
 
     def test_bins_validation(self):
         s = samples_from_draws([(0.3, 0.2, 0.1)])

@@ -14,11 +14,10 @@ from mesoscale.model import (
     Hyperparameters,
     block_counts,
     log_marginal_likelihood,
-    log_prior_labels,
 )
 from mesoscale.sampler import ChainState, label_sweep
 from mesoscale.synth import GeneratorSpec, generate_sbm
-from reference import log_likelihood
+from reference import log_likelihood, log_prior_labels
 
 
 def labels(*entries):

@@ -10,7 +10,6 @@ from mesoscale.model import (
     BlockProbs,
     Hyperparameters,
     block_counts,
-    log_prior_labels,
 )
 from mesoscale import sampler
 from mesoscale.sampler import (
@@ -28,6 +27,7 @@ from mesoscale.synth import GeneratorSpec, generate_sbm
 from reference import (
     NumpyState,
     log_likelihood,
+    log_prior_labels,
     loop_label_sweep,
     numpy_exchange_groups,
     numpy_run_chain,
