@@ -66,7 +66,8 @@ def _add_prior_args(p: argparse.ArgumentParser) -> None:
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_bounded(1), default=15000,
                    help="total MCMC iterations")
-    p.add_argument("--burn-in", type=int, default=5000, help="iterations to discard")
+    p.add_argument("--burn-in", type=_bounded(0), default=5000,
+                   help="iterations to discard (fewer than --samples)")
     p.add_argument("--thin", type=_bounded(1), default=1,
                    help="retain every thin-th draw")
     p.add_argument("--chains", type=_bounded(1), default=1,
@@ -143,7 +144,15 @@ def _hyper_from_args(args, n: int) -> Hyperparameters:
     )
 
 
+def _check_burn_in(args) -> None:
+    """Refuse a burn-in that leaves no iteration to keep, naming the options."""
+    if args.burn_in >= args.samples:
+        raise ValueError(f"--burn-in ({args.burn_in}) must be smaller than "
+                         f"--samples ({args.samples})")
+
+
 def _chain_from_args(args) -> ChainConfig:
+    _check_burn_in(args)
     return ChainConfig(
         total_samples=args.samples,
         burn_in=args.burn_in,
@@ -245,6 +254,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     _check_outputs(args.out, args.raw_out)
     grid = PAPER_GRID if args.grid is None else _parse_grid(args.grid)
+    _check_burn_in(args)
     n1 = round(args.frac * args.n)
     spec = SweepSpec(
         n=args.n, sizes=(n1, args.n - n1),
@@ -267,12 +277,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     _check_outputs(args.out)
+    # the float64 grid and its Simpson weights
+    require_memory(16 * args.quad_points, f"--quad-points {args.quad_points}")
     g, source = _load_graph(args)
     h = _hyper_from_args(args, g.n)
     verdict = exact_structure_posterior(g, h, quadrature_points=args.quad_points)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "input": {"source": source, "n": g.n, "m": g.m},
+        "config": {"hyperparameters": report_mod._hyper_dict(h)},
         "verdict": asdict(verdict),
         "quadrature_points": args.quad_points,
     }
@@ -327,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default 0.05:0.25:0.025)")
     p.add_argument("--replicates", type=_bounded(1), default=100)
     p.add_argument("--samples", type=_bounded(1), default=1500)
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--burn-in", type=_bounded(0), default=500,
+                   help="iterations to discard (fewer than --samples)")
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", help="sweep table CSV path (default stdout)")
     p.add_argument("--raw-out", metavar="FILE",
@@ -338,9 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"(n <= {ENUMERATION_LIMIT})")
     _add_input_args(p)
     _add_prior_args(p)
-    p.add_argument("--quad-points", type=int, default=4097,
-                   help="Simpson quadrature points on [0, 1] for the p12 "
-                        "integral (any number >= 3)")
+    p.add_argument("--quad-points", type=_bounded(3), default=4097,
+                   help="evenly spaced points of [0, 1] at which p12's density "
+                        "is integrated by Simpson's rule against the CDFs of "
+                        "p11 and p22 (at least 3)")
     p.add_argument("--out", help="write the verdict here instead of stdout")
     p.set_defaults(func=cmd_oracle)
 

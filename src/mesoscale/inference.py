@@ -5,7 +5,7 @@ against min/max of p11 and p22), so verdicts do not depend on their names.
 Label summaries call the group with p11 >= p22 in each draw "group 1".
 Ties on the category boundaries go to core-periphery, making the three
 categories a partition of the draw space. scipy.special is imported only
-inside the exact oracle's helpers (_beta_pdf, _conditional_orderings), so
+inside the exact oracle's helpers (_CdfFamilies, _conditional_orderings), so
 the sampling commands start without scipy.
 """
 
@@ -25,8 +25,9 @@ from .model import (
 from .sampler import PosteriorSamples
 
 ENUMERATION_LIMIT = 18
-# grid points tabulated at once: keeps the Beta tables at (shapes x 64)
-# instead of (shapes x quadrature points), so memory does not grow with the grid
+# grid points tabulated at once: keeps the Beta tables and per-labelling terms
+# at (rows x 64) instead of (rows x quadrature points), so memory does not grow
+# with the grid
 GRID_CHUNK = 64
 
 
@@ -156,14 +157,63 @@ def _simpson_weights(points: int) -> np.ndarray:
     return w
 
 
-def _beta_pdf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    from scipy.special import betaln, xlog1py, xlogy
+def _exp_rows(p: np.ndarray, q: np.ndarray, c: np.ndarray, logx: np.ndarray,
+              log1mx: np.ndarray) -> np.ndarray:
+    """exp(p log x + q log(1 - x) - c), one row per entry of p, q and c and one
+    column per grid point, from the grid's shared logs; 0 log 0 is taken as 0."""
+    p, q = p[:, None], q[:, None]
+    e = np.zeros((len(p), len(logx)))
+    np.multiply(p, logx, out=e, where=p != 0)
+    e += np.multiply(q, log1mx, out=np.zeros_like(e), where=q != 0)
+    e -= c[:, None]
+    return np.exp(e, out=e)
 
-    f = np.exp(xlogy(a - 1, x) + xlog1py(b - 1, -x) - betaln(a, b))
-    # shapes < 1 make the density unbounded at an endpoint; drop those grid
-    # points rather than propagate inf through the quadrature
-    f[~np.isfinite(f)] = 0.0
-    return f
+
+class _CdfFamilies:
+    """Tables of the Beta CDF I_x(M + a0, m - M + b0) on grid chunks.
+
+    That is the posterior CDF of p_ij for a block with prior (a0, b0), m
+    possible pairs and M edges. Family f is (a0[f], b0[f], m[f]) and takes
+    M = lo[f]..hi[f]. Each table calls betainc once per family, at M = hi[f],
+    then steps down by DLMF 8.17.20,
+        I_x(a, b) = I_x(a + 1, b - 1) + x^a (1 - x)^(b - 1) / (a B(a, b)),
+    with (a, b) the shape of M and (a + 1, b - 1) that of M + 1. Each row adds
+    one positive term to the row above it, so nothing cancels.
+    """
+
+    def __init__(self, a0, b0, m, lo, hi):
+        from scipy.special import betaln
+
+        a0, b0, m, lo, hi = np.broadcast_arrays(a0, b0, m, lo, hi)
+        self.hi = hi
+        self.depth = int((hi - lo).max()) + 1
+        self.top = ((hi + a0)[:, None], (m - hi + b0)[:, None])
+        # before the running sum, row j * F + f (F families) holds the term of
+        # M = hi[f] - j, so the sum steps through j a block of F rows at a time
+        f = np.repeat(np.arange(len(hi)), hi - lo)
+        j = np.concatenate([np.arange(1, d + 1) for d in hi - lo])
+        self.term_rows = j * len(hi) + f
+        M = hi[f] - j
+        a, b = M + a0[f], m[f] - M + b0[f]
+        self.term = (a, b - 1, np.log(a) + betaln(a, b))
+
+    def row(self, f, M):
+        """The table row of M in family f."""
+        return (self.hi[f] - M) * len(self.hi) + f
+
+    def table(self, x: np.ndarray, logx: np.ndarray,
+              log1mx: np.ndarray) -> np.ndarray:
+        """Every family's rows on the grid points x, with their logs."""
+        from scipy.special import betainc
+
+        families = len(self.hi)
+        rows = np.zeros((self.depth * families, len(x)))
+        rows[:families] = betainc(*self.top, x)
+        rows[self.term_rows] = _exp_rows(*self.term, logx, log1mx)
+        steps = rows.reshape(self.depth, -1)
+        for j in range(1, self.depth):  # row by row: cumsum along an axis is slower
+            steps[j] += steps[j - 1]
+        return rows
 
 
 def _labelling_counts(
@@ -195,30 +245,52 @@ def _conditional_orderings(
 
     Given the labels, p_ij ~ Beta(Mij + a0, mij - Mij + b0) independently, so
     each is an integral over p12's density, here by Simpson on `points` grid
-    points. The Beta functions are evaluated once per distinct shape.
+    points. The CDFs of p11 and p22 come from one _CdfFamilies family per
+    (a0, b0, mij); blocks 11 and 22 share it when their priors match. p12's
+    density is evaluated once per distinct shape.
     """
-    from scipy.special import betainc
+    from scipy.special import betaln
 
-    post11, post12, post22 = (np.stack(ab, axis=1)
-                              for ab in posterior_shapes(counts, h))
-    within, shape_index = np.unique(np.concatenate([post11, post22]), axis=0,
-                                    return_inverse=True)
-    s11, s22 = np.split(shape_index, 2)
-    cross, s12 = np.unique(post12, axis=0, return_inverse=True)
+    # family key: (prior of block 11 or 22, mij)
+    prior = np.repeat([0, int(h.shapes[0] != h.shapes[2])], len(counts.M11))
+    M = np.concatenate([counts.M11, counts.M22])
+    keys, fam = np.unique(np.stack([prior, np.concatenate([counts.m11, counts.m22])],
+                                   axis=1), axis=0, return_inverse=True)
+    lo = np.full(len(keys), M.max())
+    hi = np.zeros(len(keys), dtype=M.dtype)
+    np.minimum.at(lo, fam, M)
+    np.maximum.at(hi, fam, M)
+    a0, b0 = np.array([h.shapes[0], h.shapes[2]])[keys[:, 0]].T
+    families = _CdfFamilies(a0, b0, keys[:, 1], lo, hi)
+    r11, r22 = np.split(families.row(fam, M), 2)
+
+    cross, s12 = np.unique(np.stack(posterior_shapes(counts, h)[1], axis=1),
+                           axis=0, return_inverse=True)
+    a12, b12 = cross.T
+    density = (a12 - 1, b12 - 1, betaln(a12, b12))
     x = np.linspace(0.0, 1.0, points)
     w = _simpson_weights(points)
     qa = np.zeros(len(s12))
     qd = np.zeros(len(s12))
-    for lo in range(0, points, GRID_CHUNK):
-        xs, ws = x[lo:lo + GRID_CHUNK], w[lo:lo + GRID_CHUNK]
-        cdf = betainc(within[:, :1], within[:, 1:], xs)
-        f12 = _beta_pdf(cross[:, :1], cross[:, 1:], xs)[s12]
-        cdf11, cdf22 = cdf[s11], cdf[s22]
-        qa += (f12 * (1.0 - cdf11) * (1.0 - cdf22)) @ ws
-        qd += (f12 * cdf11 * cdf22) @ ws
+    for start in range(0, points, GRID_CHUNK):
+        cols = slice(start, start + GRID_CHUNK)
+        with np.errstate(divide="ignore"):  # -inf at the endpoints
+            logs = np.log(x[cols]), np.log1p(-x[cols])
+        f12 = _exp_rows(*density, *logs)
+        # shapes < 1 make the density unbounded at an endpoint; drop those grid
+        # points rather than propagate inf through the quadrature
+        f12[np.isinf(f12)] = 0.0
+        f12 = (f12 * w[cols])[s12]
+        cdf = families.table(x[cols], *logs)
+        for q, below in ((qa, 1.0 - cdf), (qd, cdf)):
+            term = below[r11]
+            term *= below[r22]
+            term *= f12
+            q += term.sum(axis=1)
     return qa, qd
 
 
+@np.errstate(over="raise", invalid="raise")
 def exact_structure_posterior(
     g: Graph, h: Hyperparameters, quadrature_points: int = 4097
 ) -> StructureVerdict:
@@ -226,10 +298,13 @@ def exact_structure_posterior(
 
     Each vector is weighted by its marginal likelihood times label prior.
     Vectors with the same block counts share their conditional ordering
-    probabilities, which come from Simpson quadrature on `quadrature_points`
+    probabilities: Simpson quadrature of p12's density on `quadrature_points`
     evenly spaced points of [0, 1] (any number >= 3; an even number takes
-    scipy's correction on the last interval) against the regularized
-    incomplete beta function. Only feasible for n <= ENUMERATION_LIMIT (18).
+    scipy's correction on the last interval) against the CDFs of p11 and p22,
+    which _CdfFamilies tabulates from one betainc call per family and grid
+    chunk. An overflow or invalid operation raises FloatingPointError, and a
+    verdict outside [0, 1] raises ArithmeticError. Only feasible for
+    n <= ENUMERATION_LIMIT (18).
     """
     if g.n > ENUMERATION_LIMIT:
         raise ValueError(
@@ -256,9 +331,8 @@ def exact_structure_posterior(
     weights /= weights.sum()
     qa, qd = _conditional_orderings(counts, h, quadrature_points)
     pa, pd = weights @ qa, weights @ qd
-    return StructureVerdict(
-        p_assortative=float(pa),
-        p_core_periphery=float(1.0 - pa - pd),
-        p_disassortative=float(pd),
-        n_samples=2 ** g.n,
-    )
+    verdict = (float(pa), float(1.0 - pa - pd), float(pd))
+    # huge shapes can leave the quadrature meaningless without an overflow
+    if not all(0.0 <= v <= 1.0 for v in verdict):  # nan too
+        raise ArithmeticError(f"exact verdict {verdict} lies outside [0, 1]")
+    return StructureVerdict(*verdict, n_samples=2 ** g.n)

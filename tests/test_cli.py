@@ -349,11 +349,50 @@ class TestOracle:
         total = v["p_assortative"] + v["p_core_periphery"] + v["p_disassortative"]
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_too_few_quadrature_points_is_usage_error(self, tmp_path):
+    def test_too_few_quadrature_points_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "tri.txt"
         path.write_text("0 1\n1 2\n0 2\n")
-        for points in ("0", "1"):
-            assert run_cli("oracle", str(path), "--quad-points", points) == 1
+        for points in ("0", "1", "2"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("oracle", str(path), "--quad-points", points)
+            assert exc.value.code == 1
+            assert "argument --quad-points: must be at least 3" in \
+                capsys.readouterr().err
+
+    def test_quadrature_grid_beyond_memory_is_usage_error(self, tmp_path,
+                                                          capsys, monkeypatch):
+        from mesoscale import sampler
+        monkeypatch.setattr(sampler, "physical_memory", lambda: 10**9)
+        monkeypatch.setattr(cli, "exact_structure_posterior", None)  # not reached
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        assert run_cli("oracle", str(path), "--quad-points", "1000000000000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --quad-points 1000000000000 needs "
+                              "16000000000000 bytes") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("prior", [["--a0", "1e6"],
+                                       ["--a0", "1e300", "--b0", "1e300"]],
+                             ids=["a0-1e6", "a0-b0-1e300"])
+    def test_impossible_verdict_is_numeric_error(self, tmp_path, prior):
+        """Verdicts of -80 and 81, and an overflow, exit 3 with one line on
+        stderr and no warning."""
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        proc = run_cli_proc("oracle", str(path), *prior)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("numerical error:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_report_echoes_prior(self, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        out = tmp_path / "o.json"
+        assert run_cli("oracle", str(path), "--pi", "0.2", "--a0-12", "0.5",
+                       "--out", str(out)) == 0
+        hyper = json.loads(out.read_text())["config"]["hyperparameters"]
+        assert hyper == {"a0_11": 1.0, "b0_11": 1.0, "a0_12": 0.5, "b0_12": 1.0,
+                         "a0_22": 1.0, "b0_22": 1.0, "pi": 0.2}
 
     def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -427,12 +466,15 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
     (SIMULATE, ["--samples", "0"], "argument --samples: must be at least 1"),
     (SIMULATE, ["--replicates", "0"], "argument --replicates: must be at least 1"),
     (SIMULATE, ["--frac", "1.5"], "argument --frac: must be in [0.0, 1.0], got 1.5"),
+    (ANALYZE, ["--burn-in", "-5"], "argument --burn-in: must be at least 0"),
+    (SIMULATE, ["--burn-in", "-5"], "argument --burn-in: must be at least 0"),
     (GENERATE, ["--frac", "nan"], "argument --frac: must be in [0.0, 1.0]"),
     (GENERATE, ["--sizes=-3,19"], "argument --sizes: block sizes must be nonnegative"),
     # argparse reads a value starting with '-' as an option
     (GENERATE, ["--sizes", "-3,19"], "argument --sizes: expected one argument"),
 ], ids=["analyze-samples", "thin", "chains", "simulate-samples", "replicates",
-        "simulate-frac", "generate-frac", "sizes", "sizes-dash"])
+        "simulate-frac", "analyze-burn-in", "simulate-burn-in", "generate-frac",
+        "sizes", "sizes-dash"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):
     for name in ("run_chain", "run_sweep", "generate_sbm"):
@@ -441,6 +483,20 @@ def test_bad_value_names_the_option(command, option, message, monkeypatch,
         run_cli(*command, *option, "--out", str(tmp_path / "x"))
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [ANALYZE, SIMULATE],
+                         ids=["analyze", "simulate"])
+@pytest.mark.parametrize("burn_in", ["100", "200"])
+def test_burn_in_not_below_samples_names_both_options(command, burn_in,
+                                                      monkeypatch, capsys,
+                                                      tmp_path):
+    for name in ("run_chain", "run_sweep"):
+        monkeypatch.setattr(cli, name, None)  # must not be reached
+    assert run_cli(*command, "--samples", "100", "--burn-in", burn_in,
+                   "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr().err == (
+        f"error: --burn-in ({burn_in}) must be smaller than --samples (100)\n")
 
 
 def test_every_public_name_resolves():

@@ -11,6 +11,8 @@ from scipy.stats import beta as beta_dist
 from mesoscale.graph import Graph
 from mesoscale.inference import (
     ENUMERATION_LIMIT,
+    GRID_CHUNK,
+    _CdfFamilies,
     _labelling_counts,
     _simpson_weights,
     classify_draws,
@@ -278,6 +280,31 @@ def test_simpson_weights_match_scipy(points):
         assert abs(w @ y - simpson(y, x=x)) < 1e-14
 
 
+@pytest.mark.parametrize("points", [3, 4, 65, 4097])
+@pytest.mark.parametrize("a0, b0", [(1, 1), (0.2, 0.2), (0.5, 2), (3.7, 0.3),
+                                    (2, 0.5)])
+def test_cdf_families_match_betainc(a0, b0, points):
+    """Every row, endpoints included, for blocks of 0 to ENUMERATION_LIMIT
+    nodes over the full and a partial range of edge counts, tabulated chunk
+    by chunk as the oracle does."""
+    m = np.array([n1 * (n1 - 1) // 2 for n1 in range(ENUMERATION_LIMIT + 1)] * 2)
+    full = np.arange(len(m)) < len(m) // 2
+    lo = np.where(full, 0, m // 3)
+    hi = np.where(full, m, 2 * m // 3)
+    families = _CdfFamilies(a0, b0, m, lo, hi)
+    x = np.linspace(0.0, 1.0, points)
+    with np.errstate(divide="ignore"):
+        logx, log1mx = np.log(x), np.log1p(-x)
+    table = np.concatenate(
+        [families.table(x[c], logx[c], log1mx[c])
+         for c in (slice(s, s + GRID_CHUNK) for s in range(0, points, GRID_CHUNK))],
+        axis=1)
+    for f in range(len(m)):
+        M = np.arange(lo[f], hi[f] + 1)
+        expected = betainc(M[:, None] + a0, m[f] - M[:, None] + b0, x)
+        assert np.abs(table[families.row(f, M)] - expected).max() < 1e-12
+
+
 @pytest.mark.parametrize("g", [
     Graph.from_edges([], n=5),
     Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], n=7),
@@ -323,6 +350,15 @@ class TestExactStructurePosterior:
         v = exact_structure_posterior(g, h, quadrature_points=points)
         assert v.as_tuple() == pytest.approx(
             loop_structure_oracle(g, h, points), abs=1e-12)
+
+    @pytest.mark.parametrize("shapes, error", [
+        ((1e6, 1), ArithmeticError),  # verdicts of -80 and 81
+        ((1e300, 1e300), FloatingPointError),  # overflow in exp
+    ])
+    def test_impossible_verdict_raises(self, shapes, error):
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(error):
+            exact_structure_posterior(g, Hyperparameters.uniform(3, *shapes))
 
     def test_refuses_too_few_quadrature_points(self):
         g = Graph.from_edges([(0, 1)])
