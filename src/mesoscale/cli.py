@@ -215,6 +215,9 @@ def cmd_generate(args) -> int:
     if sizes is None:
         n1 = round(args.frac * args.n)
         sizes = (n1, args.n - n1)
+    elif sum(sizes) != args.n:
+        raise ValueError(f"--sizes ({sizes[0]},{sizes[1]}) must sum to "
+                         f"--n ({args.n})")
     spec = GeneratorSpec(
         n=args.n, sizes=sizes,
         p=BlockProbs(args.p11, args.p12, args.p22), seed=args.seed,
@@ -231,24 +234,28 @@ def cmd_generate(args) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """--grid: p12 values as a comma list or start:stop:step."""
+    """--grid: p12 values in [0, 1] as a comma list or start:stop:step."""
     is_range = ":" in text
     try:
         values = [float(t) for t in text.split(":" if is_range else ",")]
     except ValueError:
         raise ValueError("--grid takes a comma list or start:stop:step of "
                          f"numbers, got {text!r}") from None
-    if not is_range:
-        return tuple(values)
-    if len(values) != 3:
-        raise ValueError(f"--grid range must be start:stop:step, got {text!r}")
-    start, stop, step = values
-    if not (step > 0 and stop >= start):
-        raise ValueError(
-            f"--grid range needs step > 0 and stop >= start, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
-    return tuple(np.linspace(start, start + step * (count - 1), count)
-                 .round(10).tolist())
+    if is_range:
+        if len(values) != 3:
+            raise ValueError(f"--grid range must be start:stop:step, got {text!r}")
+        start, stop, step = values
+        if not (step > 0 and stop >= start):
+            raise ValueError(
+                f"--grid range needs step > 0 and stop >= start, got {text!r}")
+        if 0.0 <= start and stop <= 1.0:  # else the check below names them
+            count = int(round((stop - start) / step)) + 1
+            values = (np.linspace(start, start + step * (count - 1), count)
+                      .round(10).tolist())
+    bad = [v for v in values if not 0.0 <= v <= 1.0]  # nan too
+    if bad:
+        raise ValueError(f"--grid values must lie in [0, 1], got {bad[0]}")
+    return tuple(values)
 
 
 def cmd_simulate(args) -> int:
@@ -324,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of nodes in block 1")
     p.add_argument("--sizes", type=_sizes,
                    help="explicit block sizes n1,n2 (overrides --frac)")
-    p.add_argument("--p11", type=float, required=True)
-    p.add_argument("--p12", type=float, required=True)
-    p.add_argument("--p22", type=float, required=True)
+    for blk in ("11", "12", "22"):
+        p.add_argument(f"--p{blk}", type=_bounded(0.0, 1.0, float), required=True)
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", default="sbm", help="output prefix")
     p.set_defaults(func=cmd_generate)
@@ -334,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="p12 sweep with replicate averaging")
     p.add_argument("--n", type=_bounded(1), default=100)
     p.add_argument("--frac", type=_bounded(0.0, 1.0, float), default=0.4)
-    p.add_argument("--p11", type=float, default=0.20)
-    p.add_argument("--p22", type=float, default=0.10)
+    p.add_argument("--p11", type=_bounded(0.0, 1.0, float), default=0.20)
+    p.add_argument("--p22", type=_bounded(0.0, 1.0, float), default=0.10)
     p.add_argument("--grid", help="p12 values: comma list or start:stop:step "
                                   "(default 0.05:0.25:0.025)")
     p.add_argument("--replicates", type=_bounded(1), default=100)

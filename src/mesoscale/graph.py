@@ -7,15 +7,10 @@ all reporting translates back to the external names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-
-
-def node_bits(flags: np.ndarray) -> int:
-    """The nodes i with flags[i] true as the set bits of one int."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 COMMENT_PREFIX = "#"
@@ -50,11 +45,6 @@ class Graph:
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics, repr=False)
 
     @cached_property
-    def neighbour_masks(self) -> tuple[int, ...]:
-        """Bit j of entry i is set when j neighbours i; n^2/8 bytes in all."""
-        return tuple(sum(1 << j for j in nb) for nb in self.adjacency)
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self.adjacency)
 
@@ -84,7 +74,6 @@ class Graph:
         edges,
         names: list[str] | None = None,
         n: int | None = None,
-        diagnostics: ParseDiagnostics | None = None,
     ) -> "Graph":
         """Build a validated Graph from (i, j) internal-id pairs.
 
@@ -115,13 +104,7 @@ class Graph:
             adj[a].append(b)
             adj[b].append(a)
         adjacency = tuple(tuple(sorted(nb)) for nb in adj)
-        return Graph(
-            n=n,
-            m=len(edge_set),
-            adjacency=adjacency,
-            names=tuple(names),
-            diagnostics=diagnostics or ParseDiagnostics(),
-        )
+        return Graph(n=n, m=len(edge_set), adjacency=adjacency, names=tuple(names))
 
 
 def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
@@ -129,7 +112,8 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
 
     Each non-blank line not starting with COMMENT_PREFIX must hold exactly two
     whitespace-separated node tokens. Duplicate edge lines (either
-    orientation) are collapsed and counted in the diagnostics. ``node_list``
+    orientation) are collapsed by Graph.from_edges and counted in the
+    diagnostics as the edge lines beyond the graph's m. ``node_list``
     pre-registers node names in order, which is the only way to introduce
     isolated nodes.
     """
@@ -147,8 +131,6 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
     for name in node_list or ():
         intern(name)
     edges = []
-    seen = set()
-    duplicates = 0
     comments = 0
     blanks = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -167,19 +149,8 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
         u, v = tokens
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop on node {u!r}")
-        i, j = intern(u), intern(v)
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        edges.append(key)
+        edges.append((intern(u), intern(v)))
 
-    return Graph.from_edges(
-        edges,
-        names=names,
-        n=len(names),
-        diagnostics=ParseDiagnostics(
-            duplicate_edges=duplicates, comment_lines=comments, blank_lines=blanks
-        ),
-    )
+    g = Graph.from_edges(edges, names=names, n=len(names))
+    return replace(g, diagnostics=ParseDiagnostics(
+        duplicate_edges=len(edges) - g.m, comment_lines=comments, blank_lines=blanks))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, node_bits
+from .graph import Graph
 
 
 class BlockProbs(NamedTuple):
@@ -92,16 +92,30 @@ class Hyperparameters:
                    pi=np.full(n, pi))
 
 
-def block_counts(g: Graph, c: np.ndarray) -> BlockCounts:
-    """Sufficient statistics for labels c (entries in {1, 2}) on graph g."""
+def group1_degrees(g: Graph, flags: bytes) -> list[int]:
+    """d1[i], the number of node i's neighbours in group 1, where flags[i] is
+    1 when node i is in group 1 and 0 otherwise."""
+    d1 = [0] * g.n
+    for i, flag in enumerate(flags):
+        if flag:
+            for j in g.adjacency[i]:
+                d1[j] += 1
+    return d1
+
+
+def block_counts(g: Graph, c: np.ndarray, d1: list[int] | None = None) -> BlockCounts:
+    """Sufficient statistics for labels c (entries in {1, 2}) on graph g, with
+    M11 and M12 summed over group 1 from d1 = group1_degrees(g, c == 1)."""
     c = np.asarray(c)
     if len(c) != g.n:
         raise ValueError(f"label vector length {len(c)} != graph n={g.n}")
-    group1 = np.flatnonzero(c == 1).tolist()
+    in1 = c == 1
+    if d1 is None:
+        d1 = group1_degrees(g, in1.tobytes())
+    group1 = np.flatnonzero(in1).tolist()
     n1 = len(group1)
-    in1, masks, degrees = node_bits(c == 1), g.neighbour_masks, g.degrees
-    M11 = sum((masks[i] & in1).bit_count() for i in group1) // 2
-    M12 = sum(degrees[i] for i in group1) - 2 * M11
+    M11 = sum(d1[i] for i in group1) // 2
+    M12 = sum(g.degrees[i] for i in group1) - 2 * M11
     return BlockCounts.of(M11, M12, g.m - M11 - M12, n1, g.n - n1)
 
 

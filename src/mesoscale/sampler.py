@@ -14,13 +14,14 @@ non-edge (p = 1), so it is all but never accepted. ChainState.p is stored
 unclamped.
 
 A chain is held in the sweep's own form from init_chain to its last draw:
-group 1 as a bytearray of 0/1 flags and, the same set, as the set bits of one
-int. The sweep counts a node's group-1 neighbours as popcount(mask_i & group
-1) on ints used as bit sets (``Graph.neighbour_masks``): n^2/8 bytes of
-masks, and O(n/30) machine words per count in place of O(degree) interpreted
-steps. At mean degree 20 that beats a loop over the adjacency at n = 10000
-and loses at n = 30000, far above the bundled datasets and the benchmark's
-3000 nodes. ChainState.c, the {1, 2} label array, is derived on demand.
+group 1 as a bytearray of 0/1 flags, and d1, each node's number of group-1
+neighbours. A proposal reads d1[i] in O(1); an accepted flip of node i adds
++-1 to d1 at each neighbour of i. A sweep costs O(n + accepted * degree),
+close to O(n) on the sparse graphs the model is fitted to. The neighbour
+updates dominate on a dense graph at high acceptance: at n = 100, edge
+density 0.5 and half the flips accepted, a sweep takes about twice as long
+as popcounts of n-bit adjacency masks against group 1 would. ChainState.c,
+the {1, 2} label array, is derived on demand.
 
 The sweep's log acceptance ratio for flipping node i, with d1 its group-1
 neighbours, is taken in a reduced form. With w1, v1 (w2, v2) the log-ratios
@@ -35,7 +36,7 @@ per edge and per non-edge of moving a pair from block 11 to 12 (12 to 22):
 
 a is fixed by p, b is one numpy vector per sweep gathered in visiting order,
 and k1, k0 change only when a flip is accepted, so each proposal costs one
-popcount and one multiply-add. A flip is accepted when log u < delta.
+list read and one multiply-add. A flip is accepted when log u < delta.
 
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
 state, so exchange_groups returns at once. run_chain copies each retained,
@@ -53,12 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, node_bits
+from .graph import Graph
 from .model import (
     BlockCounts,
     BlockProbs,
     Hyperparameters,
     block_counts,
+    group1_degrees,
     posterior_shapes,
 )
 
@@ -107,22 +109,23 @@ class ChainConfig:
 class ChainState:
     """One MCMC state in the sweep's form (module docstring).
 
-    flags[i] is 1 when node i is in group 1 and 0 otherwise; bits holds the
-    same set as the set bits of one int. The sweep and the exchange update
-    both in place; counts is a cache kept consistent with them.
+    flags[i] is 1 when node i is in group 1 and 0 otherwise; d1[i] is the
+    number of node i's neighbours in group 1. The sweep and the exchange
+    update both in place; counts is a cache kept consistent with them.
     """
 
     flags: bytearray
-    bits: int
+    d1: list[int]
     p: BlockProbs
     counts: BlockCounts
 
     @classmethod
-    def of(cls, c: np.ndarray, p: BlockProbs, counts: BlockCounts) -> "ChainState":
-        """The state with labels c (entries in {1, 2}) and the given p, counts."""
-        in1 = np.asarray(c) == 1
-        return cls(flags=bytearray(in1.tobytes()), bits=node_bits(in1),
-                   p=p, counts=counts)
+    def of(cls, g: Graph, c: np.ndarray, p: BlockProbs) -> "ChainState":
+        """The state on g with labels c (entries in {1, 2}) and the given p;
+        d1 is counted once and the block counts are derived from it."""
+        flags = bytearray((np.asarray(c) == 1).tobytes())
+        d1 = group1_degrees(g, flags)
+        return cls(flags=flags, d1=d1, p=p, counts=block_counts(g, c, d1))
 
     @property
     def c(self) -> np.ndarray:
@@ -171,7 +174,7 @@ def init_chain(
     else:
         degrees = g.degree_array
         c = np.where(degrees >= np.median(degrees), 1, 2).astype(np.int64)
-    return ChainState.of(c, p, block_counts(g, c))
+    return ChainState.of(g, c, p)
 
 
 def _logs(q: float) -> tuple[float, float]:
@@ -188,9 +191,10 @@ def label_sweep(
     Each flip is tested with the reduced delta of the module docstring, its
     logs taken at the clamped p described there; the n values of log u come
     from one np.log (u == 0 gives -inf and is accepted). An accepted flip
-    toggles the node in state.bits and state.flags and updates the counts
-    incrementally. Draws one permutation and n uniforms. Mutates ``state`` in
-    place and returns it with the accepted-flip count.
+    toggles the node's flag, adds +-1 to state.d1 at each of its neighbours
+    and updates the counts incrementally. Draws one permutation and n
+    uniforms. Mutates ``state`` in place and returns it with the
+    accepted-flip count.
     """
     n = g.n
     lp11, l1m11 = _logs(state.p.p11)
@@ -206,8 +210,8 @@ def label_sweep(
         log_us = np.log(rng.random(n)).tolist()
     bs = ((w2 - v2) * g.degree_array - h.log_odds)[order].tolist()
 
-    masks, degrees = g.neighbour_masks, g.degrees
-    flags, in1 = state.flags, state.bits
+    adjacency, degrees = g.adjacency, g.degrees
+    flags, d1s = state.flags, state.d1
     counts = state.counts
     n1, n2 = counts.n1, counts.n2
     M11, M12, M22 = counts.M11, counts.M12, counts.M22
@@ -216,7 +220,7 @@ def label_sweep(
     accepted = 0
 
     for i, b, log_u in zip(order.tolist(), bs, log_us):
-        d1 = (masks[i] & in1).bit_count()
+        d1 = d1s[i]
         x = a * d1 + b
         if flags[i]:
             if log_u >= x + k1:
@@ -228,6 +232,8 @@ def label_sweep(
             M11 -= d1
             M12 += d1 - d2
             M22 += d2
+            for j in adjacency[i]:
+                d1s[j] -= 1
         else:
             if log_u >= k0 - x:
                 continue
@@ -238,13 +244,13 @@ def label_sweep(
             M22 -= d2
             M12 += d2 - d1
             M11 += d1
+            for j in adjacency[i]:
+                d1s[j] += 1
         accepted += 1
-        in1 ^= 1 << i
         k1 = (n1 - 1) * v1 + n2 * v2
         k0 = -(n2 - 1) * v2 - n1 * v1
 
     if accepted:
-        state.bits = in1
         state.counts = BlockCounts.of(M11, M12, M22, n1, n2)
     return state, accepted
 
@@ -260,7 +266,7 @@ def gibbs_update_probs(
 
 
 def exchange_groups(
-    state: ChainState, h: Hyperparameters, rng: np.random.Generator
+    state: ChainState, g: Graph, h: Hyperparameters, rng: np.random.Generator
 ) -> ChainState:
     """Metropolis move to the mirror state: c -> 3 - c, p11 <-> p22.
 
@@ -270,7 +276,7 @@ def exchange_groups(
     Under a swap-symmetric prior (h.swap_symmetric) the ratio is 1 in every
     state, so the move returns before computing it; otherwise the label term
     is taken on a zero-copy view of state.flags. An accepted move flips every
-    flag and every bit of state.bits.
+    flag and turns each group-1 neighbour count into degree - d1.
     """
     if h.swap_symmetric:
         return state
@@ -285,7 +291,7 @@ def exchange_groups(
     if log_ratio == 0.0 or rng.random() >= math.exp(min(log_ratio, 0.0)):
         return state
     state.flags = state.flags.translate(EXCHANGE_FLAGS)
-    state.bits ^= (1 << len(state.flags)) - 1
+    state.d1 = [d - d1 for d, d1 in zip(g.degrees, state.d1)]
     state.p = BlockProbs(*state.p[::-1])
     state.counts = state.counts.swapped()
     return state
@@ -365,7 +371,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         for it in range(cfg.total_samples):
             _, accepted = label_sweep(state, g, h, rng)
             gibbs_update_probs(state, h, rng)
-            exchange_groups(state, h, rng)
+            exchange_groups(state, g, h, rng)
             if it < cfg.burn_in:
                 continue
             accepted_post += accepted

@@ -17,8 +17,8 @@ def run_recording_labels(monkeypatch):
         seen = []
         exchange = sampler.exchange_groups
 
-        def recording(state, h, rng):
-            state = exchange(state, h, rng)
+        def recording(state, g, h, rng):
+            state = exchange(state, g, h, rng)
             folded = state.c if state.p.p11 >= state.p.p22 else 3 - state.c
             seen.append(folded.copy())
             return state

@@ -107,7 +107,7 @@ def loop_label_sweep(state, g, h, rng):
     return state, accepted
 
 
-def numpy_exchange_groups(state, h, rng):
+def numpy_exchange_groups(state, g, h, rng):
     """The group exchange on a NumpyState, its ratio computed in every state."""
     in1 = state.c == 1
     lp11, l1m11 = sampler._logs(state.p.p11)
@@ -141,7 +141,7 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
         for it in range(cfg.total_samples):
             _, accepted = loop_label_sweep(state, g, h, rng)
             gibbs_update_probs(state, h, rng)
-            numpy_exchange_groups(state, h, rng)
+            numpy_exchange_groups(state, g, h, rng)
             if it < cfg.burn_in:
                 continue
             accepted_post += accepted

@@ -228,10 +228,13 @@ class TestGenerate:
         assert sum(1 for v in labels.values() if v == "1") == 40
         assert g.n <= 100  # isolated nodes don't appear in the edge list
 
-    def test_probability_out_of_range_is_usage_error(self, tmp_path):
-        assert run_cli("generate", "--n", "10", "--p11", "1.2",
-                       "--p12", "0.1", "--p22", "0.1",
-                       "--out", str(tmp_path / "x")) == 1
+    def test_probability_out_of_range_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--n", "10", "--p11", "1.2",
+                    "--p12", "0.1", "--p22", "0.1", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 1
+        assert "argument --p11: must be in [0.0, 1.0], got 1.2" in (
+            capsys.readouterr().err)
 
     def test_zero_nodes_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -472,16 +475,35 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
     (GENERATE, ["--sizes=-3,19"], "argument --sizes: block sizes must be nonnegative"),
     # argparse reads a value starting with '-' as an option
     (GENERATE, ["--sizes", "-3,19"], "argument --sizes: expected one argument"),
+    (GENERATE, ["--sizes", "2,2"], "error: --sizes (2,2) must sum to --n (10)"),
+    (GENERATE, ["--p11", "1.5"], "argument --p11: must be in [0.0, 1.0], got 1.5"),
+    (GENERATE, ["--p12", "nan"], "argument --p12: must be in [0.0, 1.0], got nan"),
+    (GENERATE, ["--p22", "-0.1"], "argument --p22: must be in [0.0, 1.0], got -0.1"),
+    (SIMULATE, ["--p11", "1.5"], "argument --p11: must be in [0.0, 1.0], got 1.5"),
+    (SIMULATE, ["--p22", "nan"], "argument --p22: must be in [0.0, 1.0], got nan"),
+    (SIMULATE, ["--grid", "0.1,1.5"], "error: --grid values must lie in [0, 1], got 1.5"),
+    (SIMULATE, ["--grid", "nan"], "error: --grid values must lie in [0, 1], got nan"),
+    (SIMULATE, ["--grid", "0.9:1.2:0.1"],
+     "error: --grid values must lie in [0, 1], got 1.2"),
+    # the last point of a range may pass stop by up to half a step
+    (SIMULATE, ["--grid", "0.9:1:0.15"],
+     "error: --grid values must lie in [0, 1], got 1.05"),
 ], ids=["analyze-samples", "thin", "chains", "simulate-samples", "replicates",
         "simulate-frac", "analyze-burn-in", "simulate-burn-in", "generate-frac",
-        "sizes", "sizes-dash"])
+        "sizes", "sizes-dash", "sizes-not-n", "generate-p11", "generate-p12-nan",
+        "generate-p22", "simulate-p11", "simulate-p22-nan", "grid-value",
+        "grid-nan", "grid-range-stop", "grid-range-last-point"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):
+    """Exit 1 before any work, with a message naming the option: argparse
+    rejects a single bad value, and the command a bad combination or grid."""
     for name in ("run_chain", "run_sweep", "generate_sbm"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*command, *option, "--out", str(tmp_path / "x"))
-    assert exc.value.code == 1
+    try:
+        code = run_cli(*command, *option, "--out", str(tmp_path / "x"))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
     assert message in capsys.readouterr().err
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesoscale.datasets import dataset_text, load_dataset
-from mesoscale.graph import Graph, GraphParseError, parse_edge_list
+from mesoscale.graph import Graph, GraphParseError, ParseDiagnostics, parse_edge_list
 
 
 def test_two_edge_path():
@@ -68,6 +68,14 @@ def test_duplicate_edges_collapse_and_are_counted():
     g = parse_edge_list("a b\nb a\na b\nb c")
     assert g.m == 2
     assert g.diagnostics.duplicate_edges == 2
+
+
+def test_parse_diagnostics_count_duplicates_comments_and_blanks():
+    text = "# header\na b\n\nb a\n  \t\nc a\na b\n # indented\na c\n\n"
+    g = parse_edge_list(text, node_list=["c", "d"])
+    assert (g.n, g.m) == (4, 2)
+    assert g.diagnostics == ParseDiagnostics(
+        duplicate_edges=3, comment_lines=2, blank_lines=3)
 
 
 def test_comments_and_blank_lines_skipped():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from mesoscale.graph import Graph, node_bits, parse_edge_list
+from mesoscale.graph import Graph, parse_edge_list
 from mesoscale.datasets import load_dataset
 from mesoscale.model import (
     BlockProbs,
@@ -35,14 +35,15 @@ from reference import (
 
 
 def make_state(g, c, p):
-    return ChainState.of(c, p, block_counts(g, c))
+    return ChainState.of(g, c, p)
 
 
 def assert_consistent(state, g):
-    """Flags, bit set and counts describe the same labels."""
+    """Flags, group-1 neighbour counts and block counts describe the same
+    labels; d1 is recounted from the flags over each node's adjacency."""
     c = state.c
     assert set(state.flags) <= {0, 1}
-    assert state.bits == node_bits(c == 1)
+    assert state.d1 == [sum(state.flags[j] for j in nb) for nb in g.adjacency]
     assert state.counts == block_counts(g, c)
 
 
@@ -100,7 +101,7 @@ class TestChainState:
         c = np.array([1, 2, 2, 1, 1, 2, 1])
         state = make_state(path_graph(7), c, BlockProbs(0.5, 0.5, 0.5))
         assert state.flags == bytearray([1, 0, 0, 1, 1, 0, 1])
-        assert state.bits == 0b1011001
+        assert state.d1 == [0, 1, 1, 1, 1, 2, 0]
         assert state.c.dtype == np.int64
         assert np.array_equal(state.c, c)
 
@@ -129,7 +130,7 @@ class TestLabelSweep:
         for _ in range(60):
             label_sweep(state, g, h, rng)
             gibbs_update_probs(state, h, rng)
-            exchange_groups(state, h, rng)
+            exchange_groups(state, g, h, rng)
             assert_consistent(state, g)
 
     def test_zero_cross_probability_never_creates_a_cross_edge(self):
@@ -153,7 +154,7 @@ class TestLabelSweep:
     @pytest.mark.parametrize("g, p, update_p, prior", [
         (load_dataset("karate"), None, True, None),
         (load_dataset("dolphins"), None, True, None),
-        # 200-node SBM plus 30 isolated nodes: masks of many digits and zeros
+        # 200-node SBM plus 30 isolated nodes, whose counts stay 0
         (Graph.from_edges(generate_sbm(GeneratorSpec(
             n=200, sizes=(80, 120), p=BlockProbs(0.08, 0.02, 0.05), seed=17)
         )[0].edges(), n=230), None, True, None),
@@ -176,10 +177,15 @@ class TestLabelSweep:
         (load_dataset("dolphins"), None, True,
          lambda n: Hyperparameters(a0_11=3.0, b0_11=1.0, a0_12=0.4, b0_12=2.0,
                                    a0_22=1.0, b0_22=0.5, pi=np.full(n, 0.3))),
+        # unstructured and dense: about half the flips are accepted, and each
+        # updates about 30 neighbour counts
+        (Graph.from_edges(generate_sbm(GeneratorSpec(
+            n=60, sizes=(30, 30), p=BlockProbs(0.5, 0.5, 0.5), seed=5)
+        )[0].edges(), n=60), None, True, None),
     ], ids=["karate", "dolphins", "sbm-200-isolated", "single-node",
             "p12-zero", "karate-p-at-0-and-1", "karate-flat-half",
             "dolphins-per-node-pi", "karate-asymmetric-per-node-pi",
-            "dolphins-asymmetric"])
+            "dolphins-asymmetric", "dense-60"])
     def test_matches_adjacency_loop_state_for_state(self, g, p, update_p, prior):
         h = (prior or (lambda n: Hyperparameters.uniform(n, pi=0.4)))(g.n)
         states, rngs = [], []
@@ -203,8 +209,9 @@ class TestLabelSweep:
                 for state, rng, exchange in zip(
                         states, rngs, (exchange_groups, numpy_exchange_groups)):
                     gibbs_update_probs(state, h, rng)
-                    exchange(state, h, rng)
+                    exchange(state, g, h, rng)
                 assert states[0].p == states[1].p
+            assert_consistent(states[0], g)
 
     def test_single_free_node_visits_both_groups_evenly(self):
         g = Graph.from_edges([], n=1)
@@ -258,7 +265,8 @@ class TestLabelSweep:
         freq = np.zeros(2 ** n)
         for _ in range(sweeps):
             label_sweep(state, g, h, rng)
-            freq[state.bits] += 1  # bit k set: node k in group 1
+            # bit k set: node k in group 1
+            freq[sum(flag << k for k, flag in enumerate(state.flags))] += 1
         freq /= sweeps
         tv = 0.5 * np.abs(freq - target).sum()
         assert tv < 0.02
@@ -352,7 +360,7 @@ class TestExchangeGroups:
     def exchange(self, c, p, u):
         state = make_state(self.G, c.copy(), p)
         rng = StubRng(u)
-        exchange_groups(state, self.H, rng)
+        exchange_groups(state, self.G, self.H, rng)
         assert_consistent(state, self.G)
         return state, rng.draws
 
@@ -368,6 +376,9 @@ class TestExchangeGroups:
             assert draws == 1
             assert np.array_equal(state.c, 3 - c)
             assert state.p == mirror
+            # each node's group-1 neighbours were its group-2 neighbours
+            before = make_state(self.G, c, p).d1
+            assert state.d1 == [d - d1 for d, d1 in zip(self.G.degrees, before)]
             state, draws = self.exchange(c, p, bound * (1 + 1e-9))
             assert draws == 1
             assert np.array_equal(state.c, c)
@@ -384,7 +395,7 @@ class TestExchangeGroups:
         h = Hyperparameters.uniform(6, pi=1e-300)  # log ratio 4 * 690.8
         state = make_state(g, c.copy(), BlockProbs(0.2, 0.5, 0.7))
         rng = StubRng(1 - 1e-12)
-        exchange_groups(state, h, rng)
+        exchange_groups(state, g, h, rng)
         assert rng.draws == 1
         assert np.array_equal(state.c, 3 - c)
         assert_consistent(state, g)
@@ -399,7 +410,7 @@ class TestExchangeGroups:
         g, p = path_graph(len(c)), BlockProbs(0.2, 0.5, 0.7)
         state = make_state(g, c.copy(), p)
         rng = StubRng(0.0)
-        exchange_groups(state, h, rng)
+        exchange_groups(state, g, h, rng)
         assert rng.draws == 0
         assert np.array_equal(state.c, c)
         assert state.p == p
