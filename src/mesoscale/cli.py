@@ -151,8 +151,21 @@ def _check_burn_in(args) -> None:
                          f"--samples ({args.samples})")
 
 
+def _check_prior(args) -> None:
+    """Refuse, naming the option, a prior the model would refuse."""
+    if not 0 < args.pi < 1:  # nan too
+        raise ValueError(f"--pi must lie strictly in (0, 1), got {args.pi}")
+    for name, value in vars(args).items():
+        if name[:2] in ("a0", "b0") and value is not None and not 0 < value < np.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and "
+                             f"positive, got {value}")
+
+
 def _chain_from_args(args) -> ChainConfig:
     _check_burn_in(args)
+    if args.thin > args.samples - args.burn_in:
+        raise ValueError(f"no draws retained: --thin ({args.thin}) exceeds --samples "
+                         f"minus --burn-in ({args.samples - args.burn_in})")
     return ChainConfig(
         total_samples=args.samples,
         burn_in=args.burn_in,
@@ -180,9 +193,10 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     _check_outputs(args.out, args.emit_traces, args.emit_densities)
+    _check_prior(args)
+    cfg = _chain_from_args(args)
     g, source = _load_graph(args)
     h = _hyper_from_args(args, g.n)
-    cfg = _chain_from_args(args)
     # every array the command builds, checked before sampling; each of the
     # three density histograms keeps a float64 edge and mass per bin
     require_chain_memory(g.n, cfg)
@@ -210,7 +224,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _check_outputs(f"{args.out}.edges")
+    paths = [Path(f"{args.out}.{ext}") for ext in ("edges", "nodes", "labels")]
+    _check_outputs(*paths)
     sizes = args.sizes
     if sizes is None:
         n1 = round(args.frac * args.n)
@@ -223,13 +238,13 @@ def cmd_generate(args) -> int:
         p=BlockProbs(args.p11, args.p12, args.p22), seed=args.seed,
     )
     g, truth = generate_sbm(spec)
-    edges_path = Path(f"{args.out}.edges")
-    labels_path = Path(f"{args.out}.labels")
+    edges_path, nodes_path, labels_path = paths
     edges_path.write_text(g.to_edge_list(), encoding="utf-8")
+    nodes_path.write_text("".join(f"{name}\n" for name in g.names), encoding="utf-8")
     labels_path.write_text(
         "".join(f"{g.names[i]} {truth[i]}\n" for i in range(g.n)), encoding="utf-8")
-    print(f"wrote {edges_path} ({g.n} nodes, {g.m} edges) and {labels_path}",
-          file=sys.stderr)
+    print(f"wrote {edges_path} ({g.n} nodes, {g.m} edges), {nodes_path} and "
+          f"{labels_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -249,9 +264,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(
                 f"--grid range needs step > 0 and stop >= start, got {text!r}")
         if 0.0 <= start and stop <= 1.0:  # else the check below names them
-            count = int(round((stop - start) / step)) + 1
-            values = (np.linspace(start, start + step * (count - 1), count)
-                      .round(10).tolist())
+            # no point passes stop; + 1e-9 keeps stop in 0.1:0.3:0.1 (1.999...)
+            count = int((stop - start) / step + 1e-9) + 1
+            return tuple(np.linspace(start, start + step * (count - 1), count)
+                         .round(10).tolist())
     bad = [v for v in values if not 0.0 <= v <= 1.0]  # nan too
     if bad:
         raise ValueError(f"--grid values must lie in [0, 1], got {bad[0]}")
@@ -284,6 +300,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     _check_outputs(args.out)
+    _check_prior(args)
     # the float64 grid and its Simpson weights
     require_memory(16 * args.quad_points, f"--quad-points {args.quad_points}")
     g, source = _load_graph(args)
@@ -334,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     for blk in ("11", "12", "22"):
         p.add_argument(f"--p{blk}", type=_bounded(0.0, 1.0, float), required=True)
     p.add_argument("--seed", type=_bounded(0), default=0)
-    p.add_argument("--out", default="sbm", help="output prefix")
+    p.add_argument("--out", default="sbm",
+                   help="output prefix of PREFIX.edges, PREFIX.nodes (every node; "
+                        "analyze --nodes keeps isolated ones) and PREFIX.labels")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="p12 sweep with replicate averaging")

@@ -39,11 +39,9 @@ and k1, k0 change only when a flip is accepted, so each proposal costs one
 list read and one multiply-add. A flip is accepted when log u < delta.
 
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
-state, so exchange_groups returns at once. run_chain copies each retained,
-folded row of flags into one (TALLY_BLOCK, n) uint8 buffer and builds numpy
-tallies from a full buffer at a time, not from each draw: each full buffer
-adds its column sums to the label tally and, under coassign, its Gram matrix
-to the co-assignment tally.
+state, so exchange_groups returns at once. run_chain keeps each retained
+state as it comes, p and the raw flags (n + 24 bytes a draw), and after the
+last chain names the groups so p11 >= p22 and builds every tally at once.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from .model import (
 )
 
 INIT_MODES = ("random_labels", "degree_split")
-TALLY_BLOCK = 32  # retained draws buffered per tally (and co-assignment BLAS) update
+TALLY_BLOCK = 32  # retained draws per co-assignment BLAS update
 P_FLOOR, P_CEIL = math.ulp(0.0), math.nextafter(1.0, 0.0)
 EXCHANGE_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0 <-> 1
 
@@ -317,21 +315,21 @@ def require_memory(need: int, what: str) -> None:
 
 def require_chain_memory(n: int, cfg: ChainConfig) -> None:
     """Refuse (ValueError) a run on n nodes whose co-assignment matrix
-    (8 n^2 bytes) or retained draws (24 bytes each) exceed physical memory."""
+    (8 n^2 bytes) or kept states (24 + n bytes each) exceed physical memory."""
     if cfg.coassign:
         require_memory(8 * n * n, f"co-assignment tally for n={n}")
     retained = cfg.retained_per_chain * cfg.chains
-    require_memory(24 * retained, f"draws array ({retained} rows)")
+    require_memory((24 + n) * retained, f"kept states ({retained} draws)")
 
 
 def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSamples:
     """Run cfg.chains independent chains and pool their retained draws.
 
     Per chain: init, then total_samples iterations of (label sweep, Gibbs
-    update, group exchange). The first burn_in iterations are dropped and
-    every thin-th of the rest is tallied, with the groups named so p11 >= p22,
-    through the buffer of the module docstring. Draws or a co-assignment
-    matrix beyond physical memory are refused before the first chain.
+    update, group exchange), keeping p and the flags of every thin-th state
+    after burn_in. The kept states are then named so p11 >= p22 and tallied
+    at once. Kept states or a co-assignment matrix beyond physical memory are
+    refused before the first chain.
     """
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
@@ -341,26 +339,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
 
     require_chain_memory(n, cfg)
     draws = np.empty((total_retained, 3))
-    label_tally = np.zeros(n, dtype=np.int64)
-    sizes = [0] * (n + 1)  # histogram of the group-1 size
-    rows = bytearray(TALLY_BLOCK * n)
-    block = np.frombuffer(rows, dtype=np.uint8).reshape(TALLY_BLOCK, n)
-    filled = 0
-    coassign = None
-    if cfg.coassign:
-        # C = 2 X^T X - t_i - t_j + R over the 0/1 group-1 indicators X of the
-        # R retained draws; X^T X is accumulated in place, one buffer of draws
-        # per BLAS call. Sums of 0/1 stay exact in float64.
-        from scipy.linalg.blas import dgemm
-
-        coassign = np.zeros((n, n), order="F")
-
-    def tally_block(x: np.ndarray) -> None:
-        np.add(label_tally, x.sum(axis=0, dtype=np.int64), out=label_tally)
-        if coassign is not None:
-            xt = x.T.astype(np.float64)  # (n, draws) in Fortran order
-            dgemm(1.0, xt, xt, beta=1.0, c=coassign, trans_b=1, overwrite_c=1)
-
+    kept = bytearray(total_retained * n)  # the flags of draw r at [r*n, (r+1)*n)
     chain_acceptance = []
     pos = 0
 
@@ -376,28 +355,29 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
                 continue
             accepted_post += accepted
             if (it - cfg.burn_in + 1) % cfg.thin == 0:
-                fold = state.p.p11 < state.p.p22  # tally p11 >= p22 as group 1
-                if fold:
-                    draws[pos] = state.p[::-1]
-                    rows[filled * n:(filled + 1) * n] = state.flags.translate(
-                        EXCHANGE_FLAGS)
-                    sizes[state.counts.n2] += 1
-                else:
-                    draws[pos] = state.p
-                    rows[filled * n:(filled + 1) * n] = state.flags
-                    sizes[state.counts.n1] += 1
-                filled += 1
-                if filled == TALLY_BLOCK:
-                    tally_block(block)
-                    filled = 0
+                draws[pos] = state.p
+                kept[pos * n:(pos + 1) * n] = state.flags
                 pos += 1
-        post_sweeps = cfg.total_samples - cfg.burn_in
-        chain_acceptance.append(accepted_post / (n * post_sweeps))
+        chain_acceptance.append(accepted_post / (n * (cfg.total_samples - cfg.burn_in)))
 
     assert pos == total_retained
-    if filled:
-        tally_block(block[:filled])
-    if coassign is not None:
+    # name group 1 the group with p11 >= p22 in every draw
+    fold = draws[:, 0] < draws[:, 2]
+    draws[fold] = draws[fold, ::-1]
+    x = np.frombuffer(kept, dtype=np.uint8).reshape(total_retained, n)
+    x ^= fold[:, None]  # in place: no copy of the folded rows
+    label_tally = x.sum(axis=0, dtype=np.int64)
+    coassign = None
+    if cfg.coassign:
+        # C = 2 X^T X - t_i - t_j + R over the 0/1 group-1 indicators X of the
+        # R retained draws; X^T X is accumulated in place, TALLY_BLOCK draws
+        # per BLAS call. Sums of 0/1 stay exact in float64.
+        from scipy.linalg.blas import dgemm
+
+        coassign = np.zeros((n, n), order="F")
+        for start in range(0, total_retained, TALLY_BLOCK):
+            xt = x[start:start + TALLY_BLOCK].T.astype(np.float64)  # Fortran order
+            dgemm(1.0, xt, xt, beta=1.0, c=coassign, trans_b=1, overwrite_c=1)
         coassign *= 2
         coassign -= label_tally[:, None]
         coassign -= label_tally[None, :]
@@ -405,7 +385,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     return PosteriorSamples(
         draws=draws,
         label_tally=label_tally,
-        size_tally=np.array(sizes, dtype=np.int64),
+        size_tally=np.bincount(x.sum(axis=1, dtype=np.int64), minlength=n + 1),
         swap_acceptance_rate=float(np.mean(chain_acceptance)),
         retained=total_retained,
         chain_sizes=(retained_per_chain,) * cfg.chains,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,11 @@ from mesoscale import cli
 from mesoscale.cli import main
 from mesoscale.graph import parse_edge_list
 
+# subprocesses import the package under test, whether or not it is installed
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+PROC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
 
 def run_cli(*argv, cwd=None):
     """Invoke the CLI in-process, capturing exit code is enough for most tests."""
@@ -18,7 +24,7 @@ def run_cli(*argv, cwd=None):
 def run_cli_proc(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "mesoscale.cli", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=PROC_ENV,
     )
 
 
@@ -107,19 +113,20 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv, need", [
         (("--samples", "100000000000", "--burn-in", "0"),
-         "needs 2400000000000 bytes"),
+         "needs 5800000000000 bytes"),
         (("--chains", "100000000", "--samples", "20", "--burn-in", "10"),
-         "needs 24000000000 bytes"),
+         "needs 58000000000 bytes"),
         (("--samples", "100", "--burn-in", "10", "--bins", "100000000000"),
          "needs 4800000000000 bytes"),
-        (("--samples", "1000", "--burn-in", "0"), "needs 24000 bytes"),
+        (("--samples", "414", "--burn-in", "0"), "needs 24012 bytes"),
         (("--samples", "100", "--burn-in", "10", "--bins", "500"),
          "needs 24000 bytes"),
     ], ids=["samples", "chains", "bins", "draws-small", "bins-small"])
     def test_arrays_beyond_memory_are_usage_errors(self, monkeypatch, capsys,
                                                    argv, need):
-        """Draws (24 bytes each) and density bins (48 bytes each) beyond
-        physical memory fail with one error line before any sampling."""
+        """Retained draws (24 + n bytes each, 58 on karate) and density bins
+        (48 bytes each) beyond physical memory fail with one error line
+        before any sampling."""
         from mesoscale import sampler
         monkeypatch.setattr(sampler, "physical_memory", lambda: 23999)
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
@@ -228,6 +235,18 @@ class TestGenerate:
         assert sum(1 for v in labels.values() if v == "1") == 40
         assert g.n <= 100  # isolated nodes don't appear in the edge list
 
+    def test_node_file_keeps_isolated_nodes(self, tmp_path, capsys):
+        """With PREFIX.nodes, analyze fits all --n nodes, isolated ones too."""
+        prefix = tmp_path / "sbm"
+        assert run_cli("generate", "--n", "5", "--p11", "0.5", "--p12", "0.5",
+                       "--p22", "0.5", "--out", str(prefix)) == 0
+        assert f"{prefix}.nodes" in capsys.readouterr().err
+        assert parse_edge_list((tmp_path / "sbm.edges").read_text()).n < 5
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", f"{prefix}.edges", "--nodes", f"{prefix}.nodes",
+                       "--samples", "30", "--burn-in", "10", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["input"]["n"] == 5
+
     def test_probability_out_of_range_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("generate", "--n", "10", "--p11", "1.2",
@@ -320,6 +339,17 @@ class TestSimulate:
         assert run_cli("simulate", "--grid", "0.1,1.5", "--replicates", "20",
                        "--samples", "50", "--burn-in", "10") == 1
         assert "[0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, points", [
+        ("0.9:1:0.15", (0.9,)),
+        ("0.05:0.2:0.1", (0.05, 0.15)),
+        ("0.1:0.3:0.1", (0.1, 0.2, 0.3)),
+        ("0.05:0.25:0.025", cli.PAPER_GRID),
+    ], ids=["grid-range-last-point", "step-past-stop", "inexact-quotient",
+            "paper-grid"])
+    def test_grid_range_stops_at_stop(self, grid, points):
+        """A range holds every start + k*step up to stop and none past it."""
+        assert cli._parse_grid(grid) == points
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--grid", "0.3:0.1", "--replicates", "1",
@@ -449,6 +479,7 @@ ANALYZE = ["analyze", "--dataset", "karate", "--samples", "30", "--burn-in", "10
 SIMULATE = ["simulate", "--grid", "0.1", "--replicates", "1", "--samples", "30",
             "--burn-in", "10"]
 GENERATE = ["generate", "--n", "10", "--p11", "0.5", "--p12", "0.1", "--p22", "0.5"]
+ORACLE = ["oracle", "--dataset", "karate"]
 
 
 @pytest.mark.parametrize("command", [ANALYZE, SIMULATE, GENERATE],
@@ -485,19 +516,27 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
     (SIMULATE, ["--grid", "nan"], "error: --grid values must lie in [0, 1], got nan"),
     (SIMULATE, ["--grid", "0.9:1.2:0.1"],
      "error: --grid values must lie in [0, 1], got 1.2"),
-    # the last point of a range may pass stop by up to half a step
-    (SIMULATE, ["--grid", "0.9:1:0.15"],
-     "error: --grid values must lie in [0, 1], got 1.05"),
+    (ANALYZE, ["--samples", "100", "--burn-in", "10", "--thin", "1000"],
+     "error: no draws retained: --thin (1000) exceeds --samples minus "
+     "--burn-in (90)"),
+    (ANALYZE, ["--pi", "1"], "error: --pi must lie strictly in (0, 1), got 1.0"),
+    (ORACLE, ["--pi", "0"], "error: --pi must lie strictly in (0, 1), got 0.0"),
+    (ANALYZE, ["--a0", "-1"], "error: --a0 must be finite and positive, got -1.0"),
+    (ANALYZE, ["--b0-22", "inf"],
+     "error: --b0-22 must be finite and positive, got inf"),
 ], ids=["analyze-samples", "thin", "chains", "simulate-samples", "replicates",
         "simulate-frac", "analyze-burn-in", "simulate-burn-in", "generate-frac",
         "sizes", "sizes-dash", "sizes-not-n", "generate-p11", "generate-p12-nan",
         "generate-p22", "simulate-p11", "simulate-p22-nan", "grid-value",
-        "grid-nan", "grid-range-stop", "grid-range-last-point"])
+        "grid-nan", "grid-range-stop", "thin-retains-nothing", "pi",
+        "oracle-pi", "a0", "b0-22"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):
     """Exit 1 before any work, with a message naming the option: argparse
-    rejects a single bad value, and the command a bad combination or grid."""
-    for name in ("run_chain", "run_sweep", "generate_sbm"):
+    rejects a single bad value, and the command a bad combination, grid or
+    prior."""
+    for name in ("run_chain", "run_sweep", "generate_sbm", "_load_graph",
+                 "exact_structure_posterior"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
     try:
         code = run_cli(*command, *option, "--out", str(tmp_path / "x"))
@@ -553,6 +592,6 @@ def test_only_the_oracle_imports_scipy(tmp_path):
                for m in ("scipy.special", "scipy.stats", "scipy.integrate")])
     """)
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=PROC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[True, False, False]"]
