@@ -167,14 +167,9 @@ def _chain_from_args(args) -> ChainConfig:
         raise ValueError(f"no draws retained: --thin ({args.thin}) exceeds --samples "
                          f"minus --burn-in ({args.samples - args.burn_in})")
     return ChainConfig(
-        total_samples=args.samples,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=args.seed,
-        init="random_labels" if args.init == "random" else "degree_split",
-        chains=args.chains,
-        coassign=args.coassign,
-    )
+        total_samples=args.samples, burn_in=args.burn_in, thin=args.thin,
+        seed=args.seed, chains=args.chains, coassign=args.coassign,
+        init="random_labels" if args.init == "random" else "degree_split")
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -214,11 +209,9 @@ def cmd_analyze(args) -> int:
             else report_mod.report_csv(report))
     _write_out(text, args.out)
     if args.emit_traces:
-        Path(args.emit_traces).write_text(report_mod.traces_csv(samples),
-                                          encoding="utf-8")
+        _write_out(report_mod.traces_csv(samples), args.emit_traces)
     if args.emit_densities:
-        Path(args.emit_densities).write_text(report_mod.densities_csv(density),
-                                             encoding="utf-8")
+        _write_out(report_mod.densities_csv(density), args.emit_densities)
     print(f"analyzed {source}: n={g.n} m={g.m} in {duration:.1f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -265,12 +258,19 @@ def _parse_grid(text: str) -> tuple[float, ...]:
                 f"--grid range needs step > 0 and stop >= start, got {text!r}")
         if 0.0 <= start and stop <= 1.0:  # else the check below names them
             # no point passes stop; + 1e-9 keeps stop in 0.1:0.3:0.1 (1.999...)
-            count = int((stop - start) / step + 1e-9) + 1
-            return tuple(np.linspace(start, start + step * (count - 1), count)
-                         .round(10).tolist())
+            steps = (stop - start) / step + 1e-9
+            # ~64 bytes a point: two float64 arrays, then Python floats in lists
+            require_memory(64 * (steps + 1), f"--grid {text}")
+            count = int(steps) + 1
+            values = (np.linspace(start, start + step * (count - 1), count)
+                      .round(10).tolist())
     bad = [v for v in values if not 0.0 <= v <= 1.0]  # nan too
     if bad:
         raise ValueError(f"--grid values must lie in [0, 1], got {bad[0]}")
+    ordered = sorted(values)
+    repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"--grid points must differ, got {repeated[0]} twice")
     return tuple(values)
 
 

@@ -23,8 +23,7 @@ class BlockProbs(NamedTuple):
     p22: float
 
 
-@dataclass(frozen=True)
-class BlockCounts:
+class BlockCounts(NamedTuple):
     """Sufficient statistics of the two-block SBM likelihood.
 
     Mij is the realized and mij the possible number of edges between blocks
@@ -43,8 +42,8 @@ class BlockCounts:
     @classmethod
     def of(cls, M11, M12, M22, n1, n2) -> "BlockCounts":
         """Counts of realized edges M11, M12, M22 in groups of n1 and n2 nodes."""
-        return cls(M11=M11, M12=M12, M22=M22, m11=n1 * (n1 - 1) // 2,
-                   m12=n1 * n2, m22=n2 * (n2 - 1) // 2, n1=n1, n2=n2)
+        return cls(M11, M12, M22, n1 * (n1 - 1) // 2, n1 * n2, n2 * (n2 - 1) // 2,
+                   n1, n2)
 
     def swapped(self) -> "BlockCounts":
         """Counts after exchanging the two group names."""
@@ -63,6 +62,7 @@ class Hyperparameters:
     b0_22: float
     pi: np.ndarray
     log_odds: np.ndarray = field(init=False, repr=False)  # log(pi / (1 - pi))
+    even_odds: bool = field(init=False, repr=False)  # every log_odds is 0
     # the exchange of the two groups leaves the prior unchanged
     swap_symmetric: bool = field(init=False, repr=False)
 
@@ -76,8 +76,8 @@ class Hyperparameters:
         object.__setattr__(self, "pi", pi)
         log_odds = np.log(pi) - np.log1p(-pi)
         object.__setattr__(self, "log_odds", log_odds)
-        object.__setattr__(self, "swap_symmetric", bool(
-            s11 == s22 and not log_odds.any()))
+        object.__setattr__(self, "even_odds", not log_odds.any())
+        object.__setattr__(self, "swap_symmetric", s11 == s22 and self.even_odds)
 
     @property
     def shapes(self) -> tuple[tuple[float, float], ...]:

@@ -11,8 +11,6 @@ import hashlib
 import json
 from dataclasses import asdict
 
-import numpy as np
-
 from .graph import Graph
 from .inference import StructureVerdict, group_size_posterior, membership_by_name
 from .model import Hyperparameters
@@ -26,8 +24,7 @@ def edge_list_sha256(g: Graph) -> str:
 
 
 def _hyper_dict(h: Hyperparameters) -> dict:
-    pi = np.asarray(h.pi)
-    pi_echo = float(pi[0]) if len(set(pi.tolist())) == 1 else pi.tolist()
+    pi_echo = float(h.pi[0]) if len(set(h.pi.tolist())) == 1 else h.pi.tolist()
     return {
         "a0_11": h.a0_11, "b0_11": h.b0_11,
         "a0_12": h.a0_12, "b0_12": h.b0_12,

@@ -371,6 +371,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: --grid") and message in err
 
+    def test_grid_beyond_memory_is_usage_error(self, monkeypatch, capsys):
+        """A range's points are counted before any array is built: 0:1:1e-9
+        holds 10^9 of them, about 64 bytes each."""
+        from mesoscale import sampler, synth
+        monkeypatch.setattr(sampler, "physical_memory", lambda: 10**9)
+        monkeypatch.setattr(cli.np, "linspace", None)  # must not be reached
+        monkeypatch.setattr(synth, "run_chain", None)
+        assert run_cli("simulate", "--grid", "0:1:1e-9", "--replicates", "1",
+                       "--samples", "50", "--burn-in", "10") == 1
+        err = capsys.readouterr().err
+        assert err == ("error: --grid 0:1:1e-9 needs 64000000064 bytes, more "
+                       "than the 1000000000 bytes of physical memory\n")
+
 
 class TestOracle:
     def test_triangle_verdict(self, tmp_path):
@@ -516,6 +529,9 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
     (SIMULATE, ["--grid", "nan"], "error: --grid values must lie in [0, 1], got nan"),
     (SIMULATE, ["--grid", "0.9:1.2:0.1"],
      "error: --grid values must lie in [0, 1], got 1.2"),
+    (SIMULATE, ["--grid", "0:1e-11:1e-12"],
+     "error: --grid points must differ, got 0.0 twice"),
+    (SIMULATE, ["--grid", "0.1,0.1"], "error: --grid points must differ, got 0.1 twice"),
     (ANALYZE, ["--samples", "100", "--burn-in", "10", "--thin", "1000"],
      "error: no draws retained: --thin (1000) exceeds --samples minus "
      "--burn-in (90)"),
@@ -528,7 +544,8 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
         "simulate-frac", "analyze-burn-in", "simulate-burn-in", "generate-frac",
         "sizes", "sizes-dash", "sizes-not-n", "generate-p11", "generate-p12-nan",
         "generate-p22", "simulate-p11", "simulate-p22-nan", "grid-value",
-        "grid-nan", "grid-range-stop", "thin-retains-nothing", "pi",
+        "grid-nan", "grid-range-stop", "grid-range-repeats", "grid-list-repeats",
+        "thin-retains-nothing", "pi",
         "oracle-pi", "a0", "b0-22"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):

@@ -341,5 +341,6 @@ class TestHyperparameters:
         assert not prior(b0_22=2.0).swap_symmetric
         h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
                             pi=np.array([0.5, 0.5, 0.7]))
-        assert not h.swap_symmetric
+        assert prior(a0_11=2.0).even_odds and not prior(pi=0.2).even_odds
+        assert not h.swap_symmetric and not h.even_odds
         assert h.log_odds.tolist() == [0.0, 0.0, math.log(0.7) - math.log1p(-0.7)]

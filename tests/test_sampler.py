@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,14 @@ class TestChainState:
                            BlockProbs(0.5, 0.5, 0.5))
         state.c[0] = 2
         assert np.array_equal(state.c, [1, 2, 1])
+
+
+@pytest.mark.parametrize("q", [0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0])
+def test_logs_are_taken_at_the_clamped_q(q):
+    """Inside (0, 1) the logs are taken at q itself; at 0 and 1, where
+    math.log or math.log1p raises, at the nearest float inside."""
+    clamped = min(max(q, sampler.P_FLOOR), sampler.P_CEIL)
+    assert sampler._logs(q) == (math.log(clamped), math.log1p(-clamped))
 
 
 class TestLabelSweep:
@@ -417,7 +426,58 @@ class TestExchangeGroups:
         assert_consistent(state, g)
 
 
+class ZeroFirstUniform:
+    """A chain RNG whose every batch of uniforms starts with an exact 0.0; it
+    records the node each permutation visits first."""
+
+    def __init__(self, rng):
+        self.rng, self.firsts = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def permutation(self, n):
+        order = self.rng.permutation(n)
+        self.firsts.append(order[0])
+        return order
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        u[0] = 0.0
+        return u
+
+
 class TestRunChain:
+    def test_uniform_of_zero_is_accepted_without_a_warning(self, monkeypatch):
+        """log 0 = -inf in the sweep is silenced by run_chain's errstate, and
+        the proposal it decides, the first in visiting order, is accepted."""
+        g = load_dataset("karate")
+        h = Hyperparameters.uniform(g.n)
+        rngs, flips = [], []
+
+        def zero_first_rng(seed, chain_index):
+            rngs.append(ZeroFirstUniform(chain_rng(seed, chain_index)))
+            return rngs[-1]
+
+        def recording_sweep(state, g, h, rng):
+            before = bytes(state.flags)
+            result = label_sweep(state, g, h, rng)
+            flips.append((before, bytes(state.flags)))
+            return result
+
+        monkeypatch.setattr(sampler, "chain_rng", zero_first_rng)
+        monkeypatch.setattr(sampler, "label_sweep", recording_sweep)
+        errors = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_chain(g, h, ChainConfig(total_samples=20, burn_in=10, seed=3,
+                                        init="degree_split"))
+        assert np.geterr() == errors
+        (rng,) = rngs
+        assert len(flips) == len(rng.firsts) == 20
+        assert all(before[i] != after[i]
+                   for (before, after), i in zip(flips, rng.firsts))
+
     def test_retained_counts(self):
         g = path_graph(5)
         h = Hyperparameters.uniform(5)
