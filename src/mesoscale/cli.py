@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,8 @@ from .inference import (
     classify_structure,
     density_summary,
     exact_structure_posterior,
+    require_bins,
+    require_quadrature,
 )
 from .model import BlockProbs, Hyperparameters
 from .sampler import ChainConfig, require_chain_memory, require_memory, run_chain
@@ -64,14 +66,12 @@ def _add_prior_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=_bounded(1), default=15000,
+    p.add_argument("--samples", type=int, default=15000,
                    help="total MCMC iterations")
-    p.add_argument("--burn-in", type=_bounded(0), default=5000,
+    p.add_argument("--burn-in", type=int, default=5000,
                    help="iterations to discard (fewer than --samples)")
-    p.add_argument("--thin", type=_bounded(1), default=1,
-                   help="retain every thin-th draw")
-    p.add_argument("--chains", type=_bounded(1), default=1,
-                   help="independent chains to pool")
+    p.add_argument("--thin", type=int, default=1, help="retain every thin-th draw")
+    p.add_argument("--chains", type=int, default=1, help="independent chains to pool")
     p.add_argument("--seed", type=_bounded(0), default=0, help="RNG seed")
     p.add_argument("--init", choices=("random", "degree"), default="random",
                    help="label initialization")
@@ -84,8 +84,8 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
 
 def _bounded(low, high=None, cast=int):
     """An argparse type for numbers in [low, high] (no upper bound when high
-    is None): a bad value fails at parse time, with a message that names the
-    option, before any work."""
+    is None), refused at parse time. Only --seed and --frac use it: no config
+    checks a seed, and --frac only splits --n. The configs check the rest."""
     def parse(text: str):
         try:
             value = cast(text)
@@ -106,9 +106,6 @@ def _sizes(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected two block sizes n1,n2, got {text!r}") from None
-    if n1 < 0 or n2 < 0:
-        raise argparse.ArgumentTypeError(
-            f"block sizes must be nonnegative, got {text!r}")
     return n1, n2
 
 
@@ -132,7 +129,7 @@ def _load_graph(args) -> tuple[Graph, str]:
     return parse_edge_list(text, node_list=node_list), args.path
 
 
-def _hyper_from_args(args, n: int) -> Hyperparameters:
+def _hyper_from_args(args) -> Hyperparameters:
     def pick(override, default):
         return default if override is None else override
 
@@ -140,36 +137,8 @@ def _hyper_from_args(args, n: int) -> Hyperparameters:
         a0_11=pick(args.a0_11, args.a0), b0_11=pick(args.b0_11, args.b0),
         a0_12=pick(args.a0_12, args.a0), b0_12=pick(args.b0_12, args.b0),
         a0_22=pick(args.a0_22, args.a0), b0_22=pick(args.b0_22, args.b0),
-        pi=np.full(n, args.pi),
+        pi=np.full(1, args.pi),  # checked now, widened to n once the graph is read
     )
-
-
-def _check_burn_in(args) -> None:
-    """Refuse a burn-in that leaves no iteration to keep, naming the options."""
-    if args.burn_in >= args.samples:
-        raise ValueError(f"--burn-in ({args.burn_in}) must be smaller than "
-                         f"--samples ({args.samples})")
-
-
-def _check_prior(args) -> None:
-    """Refuse, naming the option, a prior the model would refuse."""
-    if not 0 < args.pi < 1:  # nan too
-        raise ValueError(f"--pi must lie strictly in (0, 1), got {args.pi}")
-    for name, value in vars(args).items():
-        if name[:2] in ("a0", "b0") and value is not None and not 0 < value < np.inf:
-            raise ValueError(f"--{name.replace('_', '-')} must be finite and "
-                             f"positive, got {value}")
-
-
-def _chain_from_args(args) -> ChainConfig:
-    _check_burn_in(args)
-    if args.thin > args.samples - args.burn_in:
-        raise ValueError(f"no draws retained: --thin ({args.thin}) exceeds --samples "
-                         f"minus --burn-in ({args.samples - args.burn_in})")
-    return ChainConfig(
-        total_samples=args.samples, burn_in=args.burn_in, thin=args.thin,
-        seed=args.seed, chains=args.chains, coassign=args.coassign,
-        init="random_labels" if args.init == "random" else "degree_split")
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -188,10 +157,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     _check_outputs(args.out, args.emit_traces, args.emit_densities)
-    _check_prior(args)
-    cfg = _chain_from_args(args)
+    h = _hyper_from_args(args)
+    cfg = ChainConfig(
+        total_samples=args.samples, burn_in=args.burn_in, thin=args.thin,
+        seed=args.seed, chains=args.chains, coassign=args.coassign,
+        init="random_labels" if args.init == "random" else "degree_split")
+    require_bins(args.bins)
     g, source = _load_graph(args)
-    h = _hyper_from_args(args, g.n)
+    h = replace(h, pi=np.full(g.n, args.pi))
     # every array the command builds, checked before sampling; each of the
     # three density histograms keeps a float64 edge and mass per bin
     require_chain_memory(g.n, cfg)
@@ -219,18 +192,10 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     paths = [Path(f"{args.out}.{ext}") for ext in ("edges", "nodes", "labels")]
     _check_outputs(*paths)
-    sizes = args.sizes
-    if sizes is None:
-        n1 = round(args.frac * args.n)
-        sizes = (n1, args.n - n1)
-    elif sum(sizes) != args.n:
-        raise ValueError(f"--sizes ({sizes[0]},{sizes[1]}) must sum to "
-                         f"--n ({args.n})")
-    spec = GeneratorSpec(
-        n=args.n, sizes=sizes,
-        p=BlockProbs(args.p11, args.p12, args.p22), seed=args.seed,
-    )
-    g, truth = generate_sbm(spec)
+    n1 = round(args.frac * args.n)
+    g, truth = generate_sbm(GeneratorSpec(
+        n=args.n, sizes=args.sizes or (n1, args.n - n1),
+        p=BlockProbs(args.p11, args.p12, args.p22), seed=args.seed))
     edges_path, nodes_path, labels_path = paths
     edges_path.write_text(g.to_edge_list(), encoding="utf-8")
     nodes_path.write_text("".join(f"{name}\n" for name in g.names), encoding="utf-8")
@@ -256,7 +221,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if not (step > 0 and stop >= start):
             raise ValueError(
                 f"--grid range needs step > 0 and stop >= start, got {text!r}")
-        if 0.0 <= start and stop <= 1.0:  # else the check below names them
+        if 0.0 <= start and stop <= 1.0:  # else SweepSpec refuses start or stop
             # no point passes stop; + 1e-9 keeps stop in 0.1:0.3:0.1 (1.999...)
             steps = (stop - start) / step + 1e-9
             # ~64 bytes a point: two float64 arrays, then Python floats in lists
@@ -264,27 +229,18 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             count = int(steps) + 1
             values = (np.linspace(start, start + step * (count - 1), count)
                       .round(10).tolist())
-    bad = [v for v in values if not 0.0 <= v <= 1.0]  # nan too
-    if bad:
-        raise ValueError(f"--grid values must lie in [0, 1], got {bad[0]}")
-    ordered = sorted(values)
-    repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
-    if repeated:
-        raise ValueError(f"--grid points must differ, got {repeated[0]} twice")
     return tuple(values)
 
 
 def cmd_simulate(args) -> int:
     _check_outputs(args.out, args.raw_out)
     grid = PAPER_GRID if args.grid is None else _parse_grid(args.grid)
-    _check_burn_in(args)
     n1 = round(args.frac * args.n)
     spec = SweepSpec(
         n=args.n, sizes=(n1, args.n - n1),
         p11=args.p11, p22=args.p22,
         p12_grid=grid, replicates=args.replicates,
-        chain=ChainConfig(total_samples=args.samples, burn_in=args.burn_in,
-                          seed=0),
+        chain=ChainConfig(total_samples=args.samples, burn_in=args.burn_in, seed=0),
         seed=args.seed,
     )
     rows = run_sweep(spec)
@@ -300,11 +256,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     _check_outputs(args.out)
-    _check_prior(args)
-    # the float64 grid and its Simpson weights
-    require_memory(16 * args.quad_points, f"--quad-points {args.quad_points}")
+    h = _hyper_from_args(args)
+    require_quadrature(args.quad_points)
     g, source = _load_graph(args)
-    h = _hyper_from_args(args, g.n)
+    h = replace(h, pi=np.full(g.n, args.pi))
     verdict = exact_structure_posterior(g, h, quadrature_points=args.quad_points)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
@@ -329,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_prior_args(p)
     _add_chain_args(p)
-    p.add_argument("--bins", type=_bounded(2), default=50,
+    p.add_argument("--bins", type=int, default=50,
                    help="density histogram bins (at least 2)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -343,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="sample a two-block SBM graph")
-    p.add_argument("--n", type=_bounded(1), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--frac", type=_bounded(0.0, 1.0, float), default=0.4,
                    help="fraction of nodes in block 1")
     p.add_argument("--sizes", type=_sizes,
                    help="explicit block sizes n1,n2 (overrides --frac)")
     for blk in ("11", "12", "22"):
-        p.add_argument(f"--p{blk}", type=_bounded(0.0, 1.0, float), required=True)
+        p.add_argument(f"--p{blk}", type=float, required=True)
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", default="sbm",
                    help="output prefix of PREFIX.edges, PREFIX.nodes (every node; "
@@ -357,15 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="p12 sweep with replicate averaging")
-    p.add_argument("--n", type=_bounded(1), default=100)
+    p.add_argument("--n", type=int, default=100)
     p.add_argument("--frac", type=_bounded(0.0, 1.0, float), default=0.4)
-    p.add_argument("--p11", type=_bounded(0.0, 1.0, float), default=0.20)
-    p.add_argument("--p22", type=_bounded(0.0, 1.0, float), default=0.10)
+    p.add_argument("--p11", type=float, default=0.20)
+    p.add_argument("--p22", type=float, default=0.10)
     p.add_argument("--grid", help="p12 values: comma list or start:stop:step "
                                   "(default 0.05:0.25:0.025)")
-    p.add_argument("--replicates", type=_bounded(1), default=100)
-    p.add_argument("--samples", type=_bounded(1), default=1500)
-    p.add_argument("--burn-in", type=_bounded(0), default=500,
+    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--samples", type=int, default=1500)
+    p.add_argument("--burn-in", type=int, default=500,
                    help="iterations to discard (fewer than --samples)")
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", help="sweep table CSV path (default stdout)")
@@ -377,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"(n <= {ENUMERATION_LIMIT})")
     _add_input_args(p)
     _add_prior_args(p)
-    p.add_argument("--quad-points", type=_bounded(3), default=4097,
+    p.add_argument("--quad-points", type=int, default=4097,
                    help="evenly spaced points of [0, 1] at which p12's density "
                         "is integrated by Simpson's rule against the CDFs of "
                         "p11 and p22 (at least 3)")

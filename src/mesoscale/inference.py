@@ -22,7 +22,7 @@ from .model import (
     log_marginal_likelihood,
     posterior_shapes,
 )
-from .sampler import PosteriorSamples
+from .sampler import PosteriorSamples, require_memory
 
 ENUMERATION_LIMIT = 18
 # grid points tabulated at once: keeps the Beta tables and per-labelling terms
@@ -118,13 +118,18 @@ def _component_density(x: np.ndarray, bins: int) -> dict:
     }
 
 
+def require_bins(bins: int) -> None:
+    """Refuse (ValueError) fewer than 2 density bins."""
+    if not bins >= 2:
+        raise ValueError(f"--bins must be at least 2, got {bins}")
+
+
 def density_summary(samples: PosteriorSamples, bins: int = 50) -> dict:
     """The report's density block: per block probability its moments,
     quantiles and histogram on [0, 1], then the pairwise exceedances."""
     if samples.retained == 0:
         raise ValueError("no retained draws")
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
+    require_bins(bins)
     d = samples.draws
     return {
         "bins": bins,
@@ -290,6 +295,14 @@ def _conditional_orderings(
     return qa, qd
 
 
+def require_quadrature(points: int) -> None:
+    """Refuse (ValueError) fewer than 3 quadrature points, or more than the
+    float64 grid and Simpson weights (16 bytes a point) can hold in memory."""
+    if not points >= 3:
+        raise ValueError(f"--quad-points must be at least 3, got {points}")
+    require_memory(16 * points, f"--quad-points {points}")
+
+
 @np.errstate(over="raise", invalid="raise")
 def exact_structure_posterior(
     g: Graph, h: Hyperparameters, quadrature_points: int = 4097
@@ -313,10 +326,7 @@ def exact_structure_posterior(
         )
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
-    if quadrature_points < 3:
-        raise ValueError(
-            f"quadrature_points must be at least 3, got {quadrature_points}"
-        )
+    require_quadrature(quadrature_points)
 
     n1, M11, M22, log_prior = _labelling_counts(g, h)
     # (n1, M11, M22) fixes every block count; pack it into one integer key,

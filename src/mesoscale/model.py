@@ -17,6 +17,12 @@ import numpy as np
 from .graph import Graph
 
 
+def option(config, name: str) -> str:
+    """How a refusal names field `name` of the dataclass `config`: by the CLI
+    option that sets it (the field's metadata "option"), else by its name."""
+    return config.__dataclass_fields__[name].metadata.get("option", name)
+
+
 class BlockProbs(NamedTuple):
     p11: float
     p12: float
@@ -54,25 +60,29 @@ class BlockCounts(NamedTuple):
 class Hyperparameters:
     """Beta shapes per block pair and per-node prior probabilities of group 1."""
 
-    a0_11: float
-    b0_11: float
-    a0_12: float
-    b0_12: float
-    a0_22: float
-    b0_22: float
-    pi: np.ndarray
+    a0_11: float = field(metadata={"option": "--a0-11 (or --a0)"})
+    b0_11: float = field(metadata={"option": "--b0-11 (or --b0)"})
+    a0_12: float = field(metadata={"option": "--a0-12 (or --a0)"})
+    b0_12: float = field(metadata={"option": "--b0-12 (or --b0)"})
+    a0_22: float = field(metadata={"option": "--a0-22 (or --a0)"})
+    b0_22: float = field(metadata={"option": "--b0-22 (or --b0)"})
+    pi: np.ndarray = field(metadata={"option": "--pi"})
     log_odds: np.ndarray = field(init=False, repr=False)  # log(pi / (1 - pi))
     even_odds: bool = field(init=False, repr=False)  # every log_odds is 0
     # the exchange of the two groups leaves the prior unchanged
     swap_symmetric: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        s11, s12, s22 = self.shapes
-        if not all(0 < s < math.inf for s in s11 + s12 + s22):  # also rejects nan
-            raise ValueError("Beta shape parameters must be finite and positive")
+        s11, _, s22 = self.shapes
+        for name in ("a0_11", "b0_11", "a0_12", "b0_12", "a0_22", "b0_22"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ValueError(f"{option(self, name)} must be finite and "
+                                 f"positive, got {getattr(self, name)}")
         pi = np.asarray(self.pi, dtype=float)
-        if not np.all((pi > 0) & (pi < 1)):  # also rejects nan
-            raise ValueError("label prior probabilities must lie strictly in (0, 1)")
+        outside = pi[~((pi > 0) & (pi < 1))]  # nan too
+        if outside.size:
+            raise ValueError(f"{option(self, 'pi')} must lie strictly in (0, 1), "
+                             f"got {outside[0]}")
         object.__setattr__(self, "pi", pi)
         log_odds = np.log(pi) - np.log1p(-pi)
         object.__setattr__(self, "log_odds", log_odds)

@@ -59,6 +59,7 @@ from .model import (
     Hyperparameters,
     block_counts,
     group1_degrees,
+    option,
     posterior_shapes,
 )
 
@@ -70,33 +71,30 @@ EXCHANGE_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0 <-> 1
 
 @dataclass(frozen=True)
 class ChainConfig:
-    total_samples: int = 15000
-    burn_in: int = 5000
-    thin: int = 1
+    total_samples: int = field(default=15000, metadata={"option": "--samples"})
+    burn_in: int = field(default=5000, metadata={"option": "--burn-in"})
+    thin: int = field(default=1, metadata={"option": "--thin"})
     seed: int = 0
     init: str = "random_labels"
-    chains: int = 1
+    chains: int = field(default=1, metadata={"option": "--chains"})
     coassign: bool = False
 
     def __post_init__(self):
-        if self.total_samples <= 0:
-            raise ValueError("total_samples must be positive")
-        if not 0 <= self.burn_in < self.total_samples:
-            raise ValueError(
-                f"burn_in ({self.burn_in}) must be smaller than "
-                f"total_samples ({self.total_samples})"
-            )
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
-        if self.chains < 1:
-            raise ValueError("chains must be at least 1")
+        for name, low in (("total_samples", 1), ("burn_in", 0), ("thin", 1),
+                          ("chains", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{option(self, name)} must be at least {low}, "
+                                 f"got {getattr(self, name)}")
+        if self.burn_in >= self.total_samples:
+            raise ValueError(f"{option(self, 'burn_in')} ({self.burn_in}) must be smaller "
+                             f"than {option(self, 'total_samples')} ({self.total_samples})")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         if self.retained_per_chain == 0:
             raise ValueError(
-                f"no draws retained: {self.total_samples - self.burn_in} "
-                f"post-burn-in iterations with thin={self.thin}"
-            )
+                f"no draws retained: {option(self, 'thin')} ({self.thin}) exceeds "
+                f"{option(self, 'total_samples')} minus {option(self, 'burn_in')} "
+                f"({self.total_samples - self.burn_in})")
 
     @property
     def retained_per_chain(self) -> int:
@@ -139,7 +137,7 @@ class PosteriorSamples:
     draws: np.ndarray                       # (retained, 3) of (p11, p12, p22)
     label_tally: np.ndarray                 # per-node count of draws in group 1
     size_tally: np.ndarray                  # histogram of the group-1 size, 0..n
-    swap_acceptance_rate: float             # accepted swaps / proposals, post-burn-in
+    swap_acceptance_rate: float             # mean label-flip acceptance, post-burn-in
     retained: int
     chain_sizes: tuple[int, ...] = (0,)
     chain_acceptance: tuple[float, ...] = field(default=(), repr=False)

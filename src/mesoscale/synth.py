@@ -8,46 +8,62 @@ import numpy as np
 
 from .graph import Graph
 from .inference import classify_structure
-from .model import BlockProbs, Hyperparameters
-from .sampler import ChainConfig, run_chain
+from .model import BlockCounts, BlockProbs, Hyperparameters, option
+from .sampler import ChainConfig, require_memory, run_chain
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    n: int
-    sizes: tuple[int, int]
-    p: BlockProbs
+    n: int = field(metadata={"option": "--n"})
+    sizes: tuple[int, int] = field(metadata={"option": "--sizes"})
+    p: BlockProbs = field(metadata={"option": "--p11 --p12 --p22"})
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        n1, n2 = self.sizes
-        if n1 < 0 or n2 < 0 or n1 + n2 != self.n:
-            raise ValueError(f"sizes {self.sizes} must be nonnegative and sum to n={self.n}")
-        if not all(0.0 <= q <= 1.0 for q in self.p):
-            raise ValueError(f"block probabilities {self.p} must lie in [0, 1]")
+        n, (n1, n2) = option(self, "n"), self.sizes
+        if not self.n >= 1:
+            raise ValueError(f"{n} must be at least 1, got {self.n}")
+        if not (n1 >= 0 and n2 >= 0 and n1 + n2 == self.n):
+            raise ValueError(f"{option(self, 'sizes')} ({n1},{n2}) must be "
+                             f"nonnegative and sum to {n} ({self.n})")
+        for name, q in zip(option(self, "p").split(), self.p):
+            if not 0.0 <= q <= 1.0:  # nan too
+                raise ValueError(f"{name} must lie in [0, 1], got {q}")
+        # generate_sbm's tracemalloc peak: at most 25 bytes a node pair, 230 an edge
+        m = BlockCounts.of(0, 0, 0, n1, n2)
+        pairs = (m.m11, m.m12, m.m22)
+        require_memory(sum(k * (25 + 230 * q) for k, q in zip(pairs, self.p)),
+                       f"{n} {self.n}")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One simulation sweep: a generator template crossed with a p12 grid."""
 
-    n: int
+    n: int = field(metadata={"option": "--n"})
     sizes: tuple[int, int]
-    p11: float
-    p22: float
-    p12_grid: tuple[float, ...]
-    replicates: int
+    p11: float = field(metadata={"option": "--p11"})
+    p22: float = field(metadata={"option": "--p22"})
+    p12_grid: tuple[float, ...] = field(metadata={"option": "--grid"})
+    replicates: int = field(metadata={"option": "--replicates"})
     chain: ChainConfig
     seed: int = 0
 
     def __post_init__(self):
+        grid = option(self, "p12_grid")
         if not self.p12_grid:
-            raise ValueError("p12 grid must be nonempty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        for p12 in self.p12_grid:  # a bad grid value fails here, before any fit
+            raise ValueError(f"{grid} must be nonempty")
+        outside = [q for q in self.p12_grid if not 0.0 <= q <= 1.0]  # nan too
+        if outside:
+            raise ValueError(f"{grid} values must lie in [0, 1], got {outside[0]}")
+        ordered = sorted(self.p12_grid)
+        repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+        if repeated:
+            raise ValueError(f"{grid} points must differ, got {repeated[0]} twice")
+        if not self.replicates >= 1:
+            raise ValueError(f"{option(self, 'replicates')} must be at least 1, "
+                             f"got {self.replicates}")
+        for p12 in self.p12_grid:  # n, sizes, p11, p22 and memory, before any fit
             self.generator(p12, seed=0)
 
     def generator(self, p12: float, seed: int) -> GeneratorSpec:

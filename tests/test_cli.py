@@ -147,11 +147,9 @@ class TestAnalyze:
         from mesoscale import sampler
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
         for bins in ("1", "0", "-3"):
-            with pytest.raises(SystemExit) as exc:
-                run_cli("analyze", "--dataset", "karate", "--samples", "100",
-                        "--burn-in", "10", "--bins", bins)
-            assert exc.value.code == 1
-            assert "--bins: must be at least 2" in capsys.readouterr().err
+            assert run_cli("analyze", "--dataset", "karate", "--samples", "100",
+                           "--burn-in", "10", "--bins", bins) == 1
+            assert "--bins must be at least 2" in capsys.readouterr().err
 
     def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -248,19 +246,14 @@ class TestGenerate:
         assert json.loads(out.read_text())["input"]["n"] == 5
 
     def test_probability_out_of_range_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("generate", "--n", "10", "--p11", "1.2",
-                    "--p12", "0.1", "--p22", "0.1", "--out", str(tmp_path / "x"))
-        assert exc.value.code == 1
-        assert "argument --p11: must be in [0.0, 1.0], got 1.2" in (
-            capsys.readouterr().err)
+        assert run_cli("generate", "--n", "10", "--p11", "1.2", "--p12", "0.1",
+                       "--p22", "0.1", "--out", str(tmp_path / "x")) == 1
+        assert "--p11 must lie in [0, 1], got 1.2" in capsys.readouterr().err
 
     def test_zero_nodes_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("generate", "--n", "0", "--p11", "0.5", "--p12", "0.5",
-                    "--p22", "0.5", "--out", str(tmp_path / "w"))
-        assert exc.value.code == 1
-        assert "argument --n: must be at least 1" in capsys.readouterr().err
+        assert run_cli("generate", "--n", "0", "--p11", "0.5", "--p12", "0.5",
+                       "--p22", "0.5", "--out", str(tmp_path / "w")) == 1
+        assert "--n must be at least 1, got 0" in capsys.readouterr().err
 
     def test_sizes_override(self, tmp_path):
         assert run_cli("generate", "--n", "10", "--sizes", "3,7",
@@ -315,11 +308,9 @@ class TestSimulate:
         assert len(raw_lines) == 1 + 2 * 2
 
     def test_zero_nodes_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("simulate", "--n", "0", "--grid", "0.1",
-                    "--replicates", "1", "--samples", "50", "--burn-in", "10")
-        assert exc.value.code == 1
-        assert "argument --n: must be at least 1" in capsys.readouterr().err
+        assert run_cli("simulate", "--n", "0", "--grid", "0.1", "--replicates",
+                       "1", "--samples", "50", "--burn-in", "10") == 1
+        assert "--n must be at least 1, got 0" in capsys.readouterr().err
 
     def test_output_in_missing_directory_is_usage_error(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -399,11 +390,8 @@ class TestOracle:
         path = tmp_path / "tri.txt"
         path.write_text("0 1\n1 2\n0 2\n")
         for points in ("0", "1", "2"):
-            with pytest.raises(SystemExit) as exc:
-                run_cli("oracle", str(path), "--quad-points", points)
-            assert exc.value.code == 1
-            assert "argument --quad-points: must be at least 3" in \
-                capsys.readouterr().err
+            assert run_cli("oracle", str(path), "--quad-points", points) == 1
+            assert "--quad-points must be at least 3" in capsys.readouterr().err
 
     def test_quadrature_grid_beyond_memory_is_usage_error(self, tmp_path,
                                                           capsys, monkeypatch):
@@ -507,24 +495,26 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, option, message", [
-    (ANALYZE, ["--samples", "0"], "argument --samples: must be at least 1"),
-    (ANALYZE, ["--thin", "0"], "argument --thin: must be at least 1"),
-    (ANALYZE, ["--chains", "0"], "argument --chains: must be at least 1"),
-    (SIMULATE, ["--samples", "0"], "argument --samples: must be at least 1"),
-    (SIMULATE, ["--replicates", "0"], "argument --replicates: must be at least 1"),
+    (ANALYZE, ["--samples", "0"], "error: --samples must be at least 1, got 0"),
+    (ANALYZE, ["--thin", "0"], "error: --thin must be at least 1, got 0"),
+    (ANALYZE, ["--chains", "0"], "error: --chains must be at least 1, got 0"),
+    (SIMULATE, ["--samples", "0"], "error: --samples must be at least 1, got 0"),
+    (SIMULATE, ["--replicates", "0"], "error: --replicates must be at least 1, got 0"),
     (SIMULATE, ["--frac", "1.5"], "argument --frac: must be in [0.0, 1.0], got 1.5"),
-    (ANALYZE, ["--burn-in", "-5"], "argument --burn-in: must be at least 0"),
-    (SIMULATE, ["--burn-in", "-5"], "argument --burn-in: must be at least 0"),
+    (ANALYZE, ["--burn-in", "-5"], "error: --burn-in must be at least 0, got -5"),
+    (SIMULATE, ["--burn-in", "-5"], "error: --burn-in must be at least 0, got -5"),
     (GENERATE, ["--frac", "nan"], "argument --frac: must be in [0.0, 1.0]"),
-    (GENERATE, ["--sizes=-3,19"], "argument --sizes: block sizes must be nonnegative"),
+    (GENERATE, ["--sizes=-3,19"],
+     "error: --sizes (-3,19) must be nonnegative and sum to --n (10)"),
     # argparse reads a value starting with '-' as an option
     (GENERATE, ["--sizes", "-3,19"], "argument --sizes: expected one argument"),
-    (GENERATE, ["--sizes", "2,2"], "error: --sizes (2,2) must sum to --n (10)"),
-    (GENERATE, ["--p11", "1.5"], "argument --p11: must be in [0.0, 1.0], got 1.5"),
-    (GENERATE, ["--p12", "nan"], "argument --p12: must be in [0.0, 1.0], got nan"),
-    (GENERATE, ["--p22", "-0.1"], "argument --p22: must be in [0.0, 1.0], got -0.1"),
-    (SIMULATE, ["--p11", "1.5"], "argument --p11: must be in [0.0, 1.0], got 1.5"),
-    (SIMULATE, ["--p22", "nan"], "argument --p22: must be in [0.0, 1.0], got nan"),
+    (GENERATE, ["--sizes", "2,2"],
+     "error: --sizes (2,2) must be nonnegative and sum to --n (10)"),
+    (GENERATE, ["--p11", "1.5"], "error: --p11 must lie in [0, 1], got 1.5"),
+    (GENERATE, ["--p12", "nan"], "error: --p12 must lie in [0, 1], got nan"),
+    (GENERATE, ["--p22", "-0.1"], "error: --p22 must lie in [0, 1], got -0.1"),
+    (SIMULATE, ["--p11", "1.5"], "error: --p11 must lie in [0, 1], got 1.5"),
+    (SIMULATE, ["--p22", "nan"], "error: --p22 must lie in [0, 1], got nan"),
     (SIMULATE, ["--grid", "0.1,1.5"], "error: --grid values must lie in [0, 1], got 1.5"),
     (SIMULATE, ["--grid", "nan"], "error: --grid values must lie in [0, 1], got nan"),
     (SIMULATE, ["--grid", "0.9:1.2:0.1"],
@@ -537,21 +527,27 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
      "--burn-in (90)"),
     (ANALYZE, ["--pi", "1"], "error: --pi must lie strictly in (0, 1), got 1.0"),
     (ORACLE, ["--pi", "0"], "error: --pi must lie strictly in (0, 1), got 0.0"),
-    (ANALYZE, ["--a0", "-1"], "error: --a0 must be finite and positive, got -1.0"),
+    (ANALYZE, ["--a0", "-1"],
+     "error: --a0-11 (or --a0) must be finite and positive, got -1.0"),
     (ANALYZE, ["--b0-22", "inf"],
-     "error: --b0-22 must be finite and positive, got inf"),
+     "error: --b0-22 (or --b0) must be finite and positive, got inf"),
+    (ORACLE, ["--a0-12", "0"],
+     "error: --a0-12 (or --a0) must be finite and positive, got 0.0"),
+    (ANALYZE, ["--b0", "-1"],
+     "error: --b0-11 (or --b0) must be finite and positive, got -1.0"),
 ], ids=["analyze-samples", "thin", "chains", "simulate-samples", "replicates",
         "simulate-frac", "analyze-burn-in", "simulate-burn-in", "generate-frac",
         "sizes", "sizes-dash", "sizes-not-n", "generate-p11", "generate-p12-nan",
         "generate-p22", "simulate-p11", "simulate-p22-nan", "grid-value",
         "grid-nan", "grid-range-stop", "grid-range-repeats", "grid-list-repeats",
         "thin-retains-nothing", "pi",
-        "oracle-pi", "a0", "b0-22"])
+        "oracle-pi", "a0", "b0-22", "oracle-a0-12", "b0"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):
     """Exit 1 before any work, with a message naming the option: argparse
-    rejects a single bad value, and the command a bad combination, grid or
-    prior."""
+    rejects a value that does not parse and a bad --seed or --frac, the config
+    objects (ChainConfig, Hyperparameters, GeneratorSpec, SweepSpec) every
+    other value out of range."""
     for name in ("run_chain", "run_sweep", "generate_sbm", "_load_graph",
                  "exact_structure_posterior"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
@@ -575,6 +571,25 @@ def test_burn_in_not_below_samples_names_both_options(command, burn_in,
                    "--out", str(tmp_path / "x")) == 1
     assert capsys.readouterr().err == (
         f"error: --burn-in ({burn_in}) must be smaller than --samples (100)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", "30000", "--p11", "0.001", "--p12", "0.001", "--p22", "0.001"],
+    ["simulate", "--n", "30000", "--p11", "0.001", "--p22", "0.001", "--grid", "0.001",
+     "--replicates", "1", "--samples", "30", "--burn-in", "10"],
+], ids=["generate", "simulate"])
+def test_graph_beyond_memory_is_usage_error(command, monkeypatch, capsys, tmp_path):
+    """A graph whose generation would not fit (25 bytes a node pair, 230 an
+    expected edge) is refused before any array is built or any fit runs."""
+    from mesoscale import sampler, synth
+    monkeypatch.setattr(sampler, "physical_memory", lambda: 10**9)
+    monkeypatch.setattr(cli, "generate_sbm", None)  # must not be reached
+    monkeypatch.setattr(synth, "run_chain", None)
+    assert run_cli(*command, "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr().err == (
+        "error: --n 30000 needs 11353121550 bytes, more than the 1000000000 "
+        "bytes of physical memory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_public_name_resolves():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from mesoscale.model import (
     group1_degrees,
     log_marginal_likelihood,
 )
-from mesoscale.sampler import ChainState, label_sweep
-from mesoscale.synth import GeneratorSpec, generate_sbm
+from mesoscale.sampler import ChainConfig, ChainState, label_sweep
+from mesoscale.synth import GeneratorSpec, SweepSpec, generate_sbm
 from reference import log_likelihood, log_prior_labels
 
 
@@ -344,3 +345,42 @@ class TestHyperparameters:
         assert prior(a0_11=2.0).even_odds and not prior(pi=0.2).even_odds
         assert not h.swap_symmetric and not h.even_odds
         assert h.log_odds.tolist() == [0.0, 0.0, math.log(0.7) - math.log1p(-0.7)]
+
+
+SHAPES = dict(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0, a0_22=1.0, b0_22=1.0)
+VALID = {
+    ChainConfig: dict(total_samples=100, burn_in=10),
+    Hyperparameters: dict(SHAPES, pi=np.full(3, 0.5)),
+    GeneratorSpec: dict(n=10, sizes=(4, 6), p=BlockProbs(0.1, 0.2, 0.3)),
+    SweepSpec: dict(n=10, sizes=(4, 6), p11=0.2, p22=0.1, p12_grid=(0.1,),
+                    replicates=2, chain=ChainConfig(total_samples=100, burn_in=10)),
+}
+# one out-of-range value per field that a CLI option sets
+BAD = {
+    ChainConfig: dict(total_samples=0, burn_in=-1, thin=0, chains=0),
+    Hyperparameters: dict({name: 0.0 for name in SHAPES}, pi=np.array([0.5, 1.0])),
+    GeneratorSpec: dict(n=0, sizes=(4, 7), p=BlockProbs(0.1, 1.5, 0.3)),
+    SweepSpec: dict(n=0, p11=math.nan, p22=-0.1, p12_grid=(0.1, 2.0), replicates=0),
+}
+
+
+REFUSALS = [(config, name, value) for config, bad in BAD.items()
+            for name, value in bad.items()]
+
+
+@pytest.mark.parametrize("config, name, value", REFUSALS,
+                         ids=[f"{c.__name__}-{name}" for c, name, _ in REFUSALS])
+def test_every_config_refusal_names_its_option(config, name, value):
+    """Library callers and the CLI get one message: it begins with the option
+    that sets the field (for p and the shapes, one of the options named)."""
+    option = {f.name: f.metadata.get("option") for f in fields(config)}[name]
+    assert option and option.startswith("--")
+    with pytest.raises(ValueError) as exc:
+        config(**{**VALID[config], name: value})
+    assert str(exc.value).split()[0] in option.split()
+
+
+def test_every_option_field_has_a_bad_case():
+    for config in VALID:
+        named = {f.name for f in fields(config) if "option" in f.metadata}
+        assert named == set(BAD[config]), config

@@ -528,7 +528,7 @@ class TestRunChain:
         assert np.array_equal(pooled.draws[:250], first.draws)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="burn_in"):
+        with pytest.raises(ValueError, match="burn-in"):
             ChainConfig(total_samples=100, burn_in=200)
         with pytest.raises(ValueError, match="thin"):
             ChainConfig(total_samples=100, burn_in=10, thin=0)

@@ -62,7 +62,7 @@ class TestGenerateSbm:
     def test_size_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
             GeneratorSpec(n=0, sizes=(0, 0), p=BlockProbs(0.1, 0.1, 0.1))
-        with pytest.raises(ValueError, match="sum to n"):
+        with pytest.raises(ValueError, match="sum to --n"):
             GeneratorSpec(n=10, sizes=(4, 5), p=BlockProbs(0.1, 0.1, 0.1))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             GeneratorSpec(n=10, sizes=(4, 6), p=BlockProbs(1.2, 0.1, 0.1))
@@ -122,6 +122,6 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SweepSpec(n=10, sizes=(5, 5), p11=0.2, p22=0.1, p12_grid=(0.1, 1.5),
                       replicates=2, chain=chain)
-        with pytest.raises(ValueError, match="sum to n"):
+        with pytest.raises(ValueError, match="sum to --n"):
             SweepSpec(n=10, sizes=(4, 5), p11=0.2, p22=0.1, p12_grid=(0.1,),
                       replicates=2, chain=chain)
