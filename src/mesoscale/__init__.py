@@ -27,6 +27,7 @@ from .sampler import (
     init_chain,
     label_sweep,
     run_chain,
+    sweep_draws,
 )
 from .synth import GeneratorSpec, SweepSpec, generate_sbm, run_sweep
 
@@ -60,4 +61,5 @@ __all__ = [
     "parse_edge_list",
     "run_chain",
     "run_sweep",
+    "sweep_draws",
 ]

@@ -1,7 +1,7 @@
 """Command-line interface: analyze, generate, simulate, oracle.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
-numerical error.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 data error,
+3 internal numerical error.
 """
 
 from __future__ import annotations
@@ -354,6 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except (ValueError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # past an address-space limit, below physical memory
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -37,10 +37,21 @@ state, so exchange_groups returns at once. run_chain keeps each retained
 state as it comes, p and the raw flags (n + 24 bytes a draw), and after the
 last chain names the groups so p11 >= p22 and builds every tally at once.
 
-An iteration on dolphins (62 nodes, 5% of flips accepted) takes about 30 us:
-the proposal loop about 0.3 us a proposal, the sweep's fixed draws and
-gathers about 10 us (a permutation, n uniforms and their logs, b, the logs of
-p), the Gibbs draw's three Beta draws 4 us. label_sweep runs under run_chain's
+The sweeps' randomness comes from sweep_draws, one endless iterator per
+chain over the chain's own RNG. For each block of k = max(1, SWEEP_BLOCK // n)
+sweeps it makes one row-wise permutation of a (k, n) array, one log of k*n
+uniforms and one gather of the degrees in visiting order, then hands them
+out a sweep at a time. A block holds about 100 KB (4096 orders and degrees as
+int64, 4096 Python floats); above 4096 nodes it is a single sweep. Drawing a
+block ahead leaves the chain's law as it was, a fresh uniform order and
+fresh uniforms each sweep, but puts those draws at other places in the RNG
+stream than one sweep at a time would.
+
+An iteration on dolphins (62 nodes, 66 sweeps a block, 5% of flips accepted)
+takes about 25 us: the proposal loop about 0.3 us a proposal, the sweep's own
+fixed work about 5 us (the logs of p, b, the lists it loops over), its share
+of a block's draws about 3 us, the Gibbs draw's three Beta draws 4 us.
+label_sweep, and so every next() of its draws, runs under run_chain's
 np.errstate, entered once per chain, which silences log 0's divide warning.
 """
 
@@ -48,6 +59,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +77,11 @@ from .model import (
 
 INIT_MODES = ("random_labels", "degree_split")
 TALLY_BLOCK = 32  # retained draws per co-assignment BLAS update
+SWEEP_BLOCK = 4096  # proposals whose draws sweep_draws makes at once
 P_FLOOR, P_CEIL = math.ulp(0.0), math.nextafter(1.0, 0.0)
 EXCHANGE_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0 <-> 1
+# one sweep's draws: visiting order, degrees in that order, log u per proposal
+SweepDraw = tuple[np.ndarray, np.ndarray, list[float]]
 
 
 @dataclass(frozen=True)
@@ -182,19 +197,32 @@ def _logs(q: float) -> tuple[float, float]:
         return _logs(min(max(q, P_FLOOR), P_CEIL))
 
 
-def label_sweep(
-    state: ChainState, g: Graph, h: Hyperparameters, rng: np.random.Generator
-) -> tuple[ChainState, int]:
-    """One Metropolis pass over all nodes in a fresh uniformly random order.
-
-    Each flip is tested with the reduced delta of the module docstring at
-    the clamped p; log u comes from one np.log of n uniforms (u == 0 gives
-    -inf, accepted, its warning silenced by run_chain's errstate). An
-    accepted flip toggles the node's flag, adds +-1 to state.d1 at each of
-    its neighbours and updates the counts. Draws one permutation and n
-    uniforms; mutates ``state`` and returns it with the accepted-flip count.
+def sweep_draws(rng: np.random.Generator, g: Graph) -> Iterator[SweepDraw]:
+    """Endless draws for the label sweeps, one (order, degrees, log_us) per
+    sweep: a uniform permutation of range(n), g.degree_array[order], and the
+    logs of n fresh uniforms as a list. Made for max(1, SWEEP_BLOCK // n)
+    sweeps at a time (module docstring); log 0 warns outside np.errstate.
     """
     n = g.n
+    rows = np.broadcast_to(np.arange(n), (max(1, SWEEP_BLOCK // n), n))
+    while True:
+        orders = rng.permuted(rows, axis=1)
+        log_us = np.log(rng.random(rows.shape)).tolist()
+        yield from zip(orders, g.degree_array[orders], log_us)
+
+
+def label_sweep(
+    state: ChainState, g: Graph, h: Hyperparameters, sweeps: Iterator[SweepDraw]
+) -> tuple[ChainState, int]:
+    """One Metropolis pass over all nodes in the order next(sweeps) gives.
+
+    Each flip is tested with the reduced delta of the module docstring at
+    the clamped p against its log u (u == 0 gives -inf, accepted). An
+    accepted flip toggles the node's flag, adds +-1 to state.d1 at each of
+    its neighbours and updates the counts. Takes one sweep's draws from
+    sweeps (see sweep_draws); mutates ``state`` and returns it with the
+    accepted-flip count.
+    """
     lp11, l1m11 = _logs(state.p.p11)
     lp12, l1m12 = _logs(state.p.p12)
     lp22, l1m22 = _logs(state.p.p22)
@@ -203,9 +231,8 @@ def label_sweep(
     w2, v2 = lp22 - lp12, l1m22 - l1m12
     a = (w1 - v1) - (w2 - v2)
 
-    order = rng.permutation(n)
-    log_us = np.log(rng.random(n)).tolist()
-    bs = (w2 - v2) * g.degree_array[order]
+    order, order_degrees, log_us = next(sweeps)
+    bs = (w2 - v2) * order_degrees
     if not h.even_odds:
         bs -= h.log_odds[order]
 
@@ -348,8 +375,9 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         state = init_chain(g, h, cfg, chain_index, rng=rng)
         accepted_post = 0
         with np.errstate(divide="ignore"):  # the sweep's log u at u == 0
+            sweeps = sweep_draws(rng, g)
             for it in range(cfg.total_samples):
-                _, accepted = label_sweep(state, g, h, rng)
+                _, accepted = label_sweep(state, g, h, sweeps)
                 gibbs_update_probs(state, h, rng)
                 exchange_groups(state, g, h, rng)
                 if it < cfg.burn_in:

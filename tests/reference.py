@@ -12,7 +12,7 @@ import numpy as np
 
 from mesoscale import sampler
 from mesoscale.model import BlockCounts, BlockProbs, Hyperparameters
-from mesoscale.sampler import ChainConfig, chain_rng, gibbs_update_probs
+from mesoscale.sampler import ChainConfig, chain_rng, gibbs_update_probs, sweep_draws
 
 
 def _bernoulli_block_term(M: int, m: int, p: float) -> float:
@@ -54,16 +54,18 @@ class NumpyState:
     counts: BlockCounts
 
 
-def loop_label_sweep(state, g, h, rng):
+def loop_label_sweep(state, g, h, sweeps):
     """The label sweep with a Python loop over each node's adjacency, on a
-    NumpyState: the reference that label_sweep must match state for state."""
+    NumpyState: the reference that label_sweep must match state for state.
+    Takes the visiting order and log u from next(sweeps), and counts each
+    node's neighbours itself."""
     n = g.n
     lp11, l1m11 = sampler._logs(state.p.p11)
     lp12, l1m12 = sampler._logs(state.p.p12)
     lp22, l1m22 = sampler._logs(state.p.p22)
     log_odds = h.log_odds.tolist()
-    order = rng.permutation(n).tolist()
-    us = rng.random(n).tolist()
+    order, _, log_us = next(sweeps)
+    order = order.tolist()
     ing1 = (state.c == 1).astype(np.int64).tolist()
     counts = state.counts
     n1, n2 = counts.n1, counts.n2
@@ -88,7 +90,7 @@ def loop_label_sweep(state, g, h, rng):
                 + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
                 + log_odds[i]
             )
-        if delta >= 0.0 or us[k] < math.exp(delta):
+        if delta >= 0.0 or log_us[k] < delta:
             accepted += 1
             if ing1[i]:
                 ing1[i] = 0
@@ -137,9 +139,10 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
         rng = chain_rng(cfg.seed, chain_index)
         init = sampler.init_chain(g, h, cfg, chain_index, rng=rng)
         state = NumpyState(c=init.c, p=init.p, counts=init.counts)
+        sweeps = sweep_draws(rng, g)
         accepted_post = 0
         for it in range(cfg.total_samples):
-            _, accepted = loop_label_sweep(state, g, h, rng)
+            _, accepted = loop_label_sweep(state, g, h, sweeps)
             gibbs_update_probs(state, h, rng)
             numpy_exchange_groups(state, g, h, rng)
             if it < cfg.burn_in:

@@ -592,6 +592,32 @@ def test_graph_beyond_memory_is_usage_error(command, monkeypatch, capsys, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def raise_memory_error(message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+    return allocate
+
+
+@pytest.mark.parametrize("command, module, name, message, err", [
+    (["simulate", "--n", "18000", "--p11", "0.001", "--p22", "0.001", "--grid",
+      "0.001", "--replicates", "1", "--samples", "30", "--burn-in", "10"],
+     "synth", "generate_sbm", "Unable to allocate 445. MiB for an array",
+     "error: out of memory: Unable to allocate 445. MiB for an array\n"),
+    (["analyze", "--dataset", "karate"], "cli", "run_chain", "",
+     "error: out of memory\n"),
+], ids=["simulate-generate_sbm", "analyze-run_chain"])
+def test_memory_error_is_usage_error(command, module, name, message, err,
+                                     monkeypatch, capsys, tmp_path):
+    """An allocation that fails below physical memory, as under an
+    address-space limit, exits 1 with one error line, not a traceback."""
+    from mesoscale import synth
+    monkeypatch.setattr({"cli": cli, "synth": synth}[module], name,
+                        raise_memory_error(message))
+    assert run_cli(*command, "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_public_name_resolves():
     import mesoscale
     assert [name for name in mesoscale.__all__ if not hasattr(mesoscale, name)] == []

@@ -146,26 +146,17 @@ def clamp(p):
                         for q in p))
 
 
-class FirstNodeRng:
-    """Stands in for the sweep's generator: node i is visited first, with
-    uniform u; every later node gets u = 1 and so moves only on delta >= 0."""
-
-    def __init__(self, i, n, u):
-        self.order = np.array([i] + [j for j in range(n) if j != i])
-        self.us = np.ones(n)
-        self.us[0] = u
-
-    def permutation(self, n):
-        return self.order
-
-    def random(self, n):
-        return self.us
+def first_node_draws(g, i, u):
+    """One sweep's draws in which node i is visited first, with uniform u;
+    every later node gets log u = 0 and so moves only on delta >= 0."""
+    order = np.array([i] + [j for j in range(g.n) if j != i])
+    return iter([(order, g.degree_array[order], [math.log(u)] + [0.0] * (g.n - 1))])
 
 
 def sweep_flips(g, c, p, h, i, u):
     """Whether label_sweep flips node i when i is drawn first with uniform u."""
     state = ChainState.of(g, c, p)
-    label_sweep(state, g, h, FirstNodeRng(i, g.n, u))
+    label_sweep(state, g, h, first_node_draws(g, i, u))
     return state.c[i] != c[i]
 
 

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import warnings
 
@@ -23,6 +25,7 @@ from mesoscale.sampler import (
     init_chain,
     label_sweep,
     run_chain,
+    sweep_draws,
 )
 from mesoscale.synth import GeneratorSpec, generate_sbm
 from reference import (
@@ -127,7 +130,7 @@ class TestLabelSweep:
         h = Hyperparameters.uniform(8)
         rng = chain_rng(1, 0)
         state = make_state(g, np.array([1, 2] * 4), BlockProbs(0.5, 0.5, 0.5))
-        _, accepted = label_sweep(state, g, h, rng)
+        _, accepted = label_sweep(state, g, h, sweep_draws(rng, g))
         assert accepted == g.n
 
     def test_counts_stay_consistent_over_many_sweeps(self):
@@ -136,8 +139,9 @@ class TestLabelSweep:
         rng = chain_rng(5, 0)
         state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=5),
                            rng=rng)
+        sweeps = sweep_draws(rng, g)
         for _ in range(60):
-            label_sweep(state, g, h, rng)
+            label_sweep(state, g, h, sweeps)
             gibbs_update_probs(state, h, rng)
             exchange_groups(state, g, h, rng)
             assert_consistent(state, g)
@@ -153,8 +157,9 @@ class TestLabelSweep:
         state = make_state(g, np.array([1, 1, 1, 2, 2, 1, 2]),
                            BlockProbs(0.6, 0.0, 0.3))
         accepted = 0
+        sweeps = sweep_draws(rng, g)
         for _ in range(200):
-            _, flips = label_sweep(state, g, h, rng)
+            _, flips = label_sweep(state, g, h, sweeps)
             accepted += flips
             assert_consistent(state, g)
             assert state.counts.M12 == 0
@@ -197,7 +202,7 @@ class TestLabelSweep:
             "dolphins-asymmetric", "dense-60"])
     def test_matches_adjacency_loop_state_for_state(self, g, p, update_p, prior):
         h = (prior or (lambda n: Hyperparameters.uniform(n, pi=0.4)))(g.n)
-        states, rngs = [], []
+        states, rngs, sweeps = [], [], []
         for _ in range(2):
             rng = chain_rng(11, 0)
             state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0,
@@ -206,11 +211,12 @@ class TestLabelSweep:
                 state.p = p
             states.append(state)
             rngs.append(rng)
+            sweeps.append(sweep_draws(rng, g))
         states[1] = NumpyState(c=states[1].c, p=states[1].p,
                                counts=states[1].counts)
         for _ in range(200):
-            _, accepted = label_sweep(states[0], g, h, rngs[0])
-            _, expected = loop_label_sweep(states[1], g, h, rngs[1])
+            _, accepted = label_sweep(states[0], g, h, sweeps[0])
+            _, expected = loop_label_sweep(states[1], g, h, sweeps[1])
             assert accepted == expected
             assert np.array_equal(states[0].c, states[1].c)
             assert states[0].counts == states[1].counts
@@ -229,8 +235,9 @@ class TestLabelSweep:
         state = make_state(g, np.array([1]), BlockProbs(0.4, 0.3, 0.2))
         tally = 0
         sweeps = 20000
+        draws = sweep_draws(rng, g)
         for _ in range(sweeps):
-            label_sweep(state, g, h, rng)
+            label_sweep(state, g, h, draws)
             tally += state.c[0] == 1
         # flat conditional: three standard errors around one half
         se = 0.5 / math.sqrt(sweeps)
@@ -244,8 +251,9 @@ class TestLabelSweep:
         state = make_state(g, np.array([1, 1, 2, 2, 1]), BlockProbs(q, q, q))
         sweeps = 10000
         tally = np.zeros(5)
+        draws = sweep_draws(rng, g)
         for _ in range(sweeps):
-            label_sweep(state, g, h, rng)
+            label_sweep(state, g, h, draws)
             tally += state.c == 1
         se = 0.5 / math.sqrt(sweeps)
         assert np.all(np.abs(tally / sweeps - 0.5) <= 3 * se + 1.0 / sweeps)
@@ -272,13 +280,50 @@ class TestLabelSweep:
         state = make_state(g, np.ones(n, dtype=np.int64), p)
         sweeps = 200000
         freq = np.zeros(2 ** n)
+        draws = sweep_draws(rng, g)
         for _ in range(sweeps):
-            label_sweep(state, g, h, rng)
+            label_sweep(state, g, h, draws)
             # bit k set: node k in group 1
             freq[sum(flag << k for k, flag in enumerate(state.flags))] += 1
         freq /= sweeps
         tv = 0.5 * np.abs(freq - target).sum()
         assert tv < 0.02
+
+
+def random_graph(n, m, seed):
+    """n nodes and up to m random edges, so that degrees vary."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(m, 2)).tolist()
+    return Graph.from_edges([(i, j) for i, j in pairs if i != j], n=n)
+
+
+class TestSweepDraws:
+    @pytest.mark.parametrize("n", [1, 7, 62, sampler.SWEEP_BLOCK + 1])
+    def test_each_sweep_gets_an_order_its_degrees_and_fresh_log_us(self, n):
+        """Across three block boundaries every sweep's order is a permutation
+        of range(n), its degrees are gathered in that order, and its n log u
+        are <= 0 and drawn afresh: no value repeats in the whole run."""
+        g = random_graph(n, 3 * n, seed=n)
+        sweeps = 3 * max(1, sampler.SWEEP_BLOCK // n) + 1
+        all_log_us = []
+        for order, degrees, log_us in itertools.islice(
+                sweep_draws(chain_rng(9, 0), g), sweeps):
+            assert sorted(order.tolist()) == list(range(n))
+            assert np.array_equal(degrees, g.degree_array[order])
+            assert len(log_us) == n and max(log_us) <= 0.0
+            all_log_us += log_us
+        assert len(all_log_us) == sweeps * n
+        assert len(set(all_log_us)) == len(all_log_us)
+
+    def test_the_six_orders_of_three_nodes_are_equally_likely(self):
+        """Chi-square over 60000 sweeps (44 blocks) against 1/6 each; 20.52 is
+        the 0.999 quantile of chi-square with 5 degrees of freedom."""
+        sweeps = 60000
+        tally = collections.Counter(
+            tuple(order.tolist()) for order, _, _ in itertools.islice(
+                sweep_draws(chain_rng(12, 0), path_graph(3)), sweeps))
+        assert len(tally) == 6
+        expected = sweeps / 6
+        assert sum((c - expected) ** 2 / expected for c in tally.values()) < 20.52
 
 
 class TestGibbsUpdate:
@@ -427,8 +472,8 @@ class TestExchangeGroups:
 
 
 class ZeroFirstUniform:
-    """A chain RNG whose every batch of uniforms starts with an exact 0.0; it
-    records the node each permutation visits first."""
+    """A chain RNG whose every block of sweep uniforms has an exact 0.0 first
+    in each sweep's row; it records the node each sweep visits first."""
 
     def __init__(self, rng):
         self.rng, self.firsts = rng, []
@@ -436,32 +481,36 @@ class ZeroFirstUniform:
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
-    def permutation(self, n):
-        order = self.rng.permutation(n)
-        self.firsts.append(order[0])
-        return order
+    def permuted(self, x, axis):
+        orders = self.rng.permuted(x, axis=axis)
+        self.firsts.extend(orders[:, 0].tolist())
+        return orders
 
-    def random(self, size=None):
+    def random(self, size):
         u = self.rng.random(size)
-        u[0] = 0.0
+        u[:, 0] = 0.0
         return u
 
 
 class TestRunChain:
     def test_uniform_of_zero_is_accepted_without_a_warning(self, monkeypatch):
-        """log 0 = -inf in the sweep is silenced by run_chain's errstate, and
-        the proposal it decides, the first in visiting order, is accepted."""
+        """log 0 = -inf in the sweep draws is silenced by run_chain's
+        errstate, and the proposal it decides, the first in visiting order,
+        is accepted. The chain spans three blocks of draws, and u = 0 opens
+        every sweep of each, so the errstate covers every next() that draws
+        a block and every sweep that reads one."""
         g = load_dataset("karate")
         h = Hyperparameters.uniform(g.n)
+        k = sampler.SWEEP_BLOCK // g.n  # sweeps per block
         rngs, flips = [], []
 
         def zero_first_rng(seed, chain_index):
             rngs.append(ZeroFirstUniform(chain_rng(seed, chain_index)))
             return rngs[-1]
 
-        def recording_sweep(state, g, h, rng):
+        def recording_sweep(state, g, h, sweeps):
             before = bytes(state.flags)
-            result = label_sweep(state, g, h, rng)
+            result = label_sweep(state, g, h, sweeps)
             flips.append((before, bytes(state.flags)))
             return result
 
@@ -470,11 +519,12 @@ class TestRunChain:
         errors = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            run_chain(g, h, ChainConfig(total_samples=20, burn_in=10, seed=3,
-                                        init="degree_split"))
+            run_chain(g, h, ChainConfig(total_samples=2 * k + 10, burn_in=10,
+                                        seed=3, init="degree_split"))
         assert np.geterr() == errors
         (rng,) = rngs
-        assert len(flips) == len(rng.firsts) == 20
+        assert len(flips) == 2 * k + 10
+        assert len(rng.firsts) == 3 * k
         assert all(before[i] != after[i]
                    for (before, after), i in zip(flips, rng.firsts))
 
