@@ -76,8 +76,9 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init", choices=("random", "degree"), default="random",
                    help="label initialization")
     p.add_argument("--coassign", action="store_true",
-                   help="tally pairwise co-assignment as float64 exact counts "
-                        "(8*n^2 bytes); the report only echoes this setting, "
+                   help="tally pairwise co-assignment as float32 exact counts "
+                        "(4*n^2 bytes, at most 2**23 retained draws in all "
+                        "chains); the report only echoes this setting, "
                         "the matrix is reachable through "
                         "mesoscale.coassignment_matrix")
 

@@ -88,13 +88,14 @@ def membership_by_name(samples: PosteriorSamples, g: Graph) -> dict[str, float]:
 
 
 def coassignment_matrix(samples: PosteriorSamples) -> np.ndarray:
-    """Posterior probability that each node pair shares a group."""
+    """Posterior probability that each node pair shares a group, as float64
+    (the float32 tally of exact counts divided in float64)."""
     if samples.coassign_tally is None:
         raise ValueError(
             "co-assignment tallying was not enabled for this run; "
             "rerun with coassign=True (CLI: --coassign)"
         )
-    return samples.coassign_tally / samples.retained
+    return np.divide(samples.coassign_tally, samples.retained, dtype=np.float64)
 
 
 def group_size_posterior(samples: PosteriorSamples) -> np.ndarray:

@@ -37,6 +37,17 @@ state, so exchange_groups returns at once. run_chain keeps each retained
 state as it comes, p and the raw flags (n + 24 bytes a draw), and after the
 last chain names the groups so p11 >= p22 and builds every tally at once.
 
+The co-assignment tally counts, for each node pair, the R retained draws
+with c_i == c_j. With y = 2x - 1 the +-1 form of a draw's group-1 flags x,
+[c_i == c_j] = (1 + y_i y_j) / 2, so the tally is (R + Y^T Y) / 2. It is
+built in one float32 (n, n) array (4 n^2 bytes) that starts at R/2: one
+BLAS ssyrk per TALLY_BLOCK draws adds half their Y^T Y to its upper
+triangle, which is then mirrored into the lower one a MIRROR_BLOCK tile at a
+time. Every value on the way is a multiple of 1/2 no larger than R, so
+float32 holds each exactly while R <= 2**23 (COASSIGN_MAX_DRAWS, which
+ChainConfig enforces). Folding a draw negates its y and leaves y y^T as it
+was, so the fold does not touch the tally.
+
 The sweeps' randomness comes from sweep_draws, one endless iterator per
 chain over the chain's own RNG. For each block of k = max(1, SWEEP_BLOCK // n)
 sweeps it makes one row-wise permutation of a (k, n) array, one log of k*n
@@ -77,6 +88,8 @@ from .model import (
 
 INIT_MODES = ("random_labels", "degree_split")
 TALLY_BLOCK = 32  # retained draws per co-assignment BLAS update
+MIRROR_BLOCK = 256  # tile side of the tally's upper-to-lower mirror
+COASSIGN_MAX_DRAWS = 2**23  # float32 holds the tally's half-counts exactly up to here
 SWEEP_BLOCK = 4096  # proposals whose draws sweep_draws makes at once
 P_FLOOR, P_CEIL = math.ulp(0.0), math.nextafter(1.0, 0.0)
 EXCHANGE_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0 <-> 1
@@ -92,7 +105,7 @@ class ChainConfig:
     seed: int = 0
     init: str = "random_labels"
     chains: int = field(default=1, metadata={"option": "--chains"})
-    coassign: bool = False
+    coassign: bool = field(default=False, metadata={"option": "--coassign"})
 
     def __post_init__(self):
         for name, low in (("total_samples", 1), ("burn_in", 0), ("thin", 1),
@@ -110,6 +123,12 @@ class ChainConfig:
                 f"no draws retained: {option(self, 'thin')} ({self.thin}) exceeds "
                 f"{option(self, 'total_samples')} minus {option(self, 'burn_in')} "
                 f"({self.total_samples - self.burn_in})")
+        retained = self.retained_per_chain * self.chains
+        if self.coassign and retained > COASSIGN_MAX_DRAWS:
+            raise ValueError(
+                f"{option(self, 'coassign')} tallies at most {COASSIGN_MAX_DRAWS} "
+                f"retained draws exactly, got {retained} ({option(self, 'chains')} "
+                f"times the draws each chain retains)")
 
     @property
     def retained_per_chain(self) -> int:
@@ -156,7 +175,7 @@ class PosteriorSamples:
     retained: int
     chain_sizes: tuple[int, ...] = (0,)
     chain_acceptance: tuple[float, ...] = field(default=(), repr=False)
-    # float64 (n, n) exact counts of draws with c_i == c_j; 8*n^2 bytes, opt-in
+    # float32 (n, n) exact counts of draws with c_i == c_j; 4*n^2 bytes, opt-in
     coassign_tally: np.ndarray | None = None
 
 
@@ -341,10 +360,10 @@ def require_memory(need: float, what: str) -> None:
 
 
 def require_chain_memory(n: int, cfg: ChainConfig) -> None:
-    """Refuse (ValueError) a run on n nodes whose co-assignment matrix
-    (8 n^2 bytes) or kept states (24 + n bytes each) exceed physical memory."""
+    """Refuse (ValueError) a run on n nodes whose float32 co-assignment tally
+    (4 n^2 bytes) or kept states (24 + n bytes each) exceed physical memory."""
     if cfg.coassign:
-        require_memory(8 * n * n, f"co-assignment tally for n={n}")
+        require_memory(4 * n * n, f"co-assignment tally for n={n}")
     retained = cfg.retained_per_chain * cfg.chains
     require_memory((24 + n) * retained, f"kept states ({retained} draws)")
 
@@ -355,8 +374,9 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     Per chain: init, then total_samples iterations of (label sweep, Gibbs
     update, group exchange), keeping p and the flags of every thin-th state
     after burn_in. The kept states are then named so p11 >= p22 and tallied
-    at once. Kept states or a co-assignment matrix beyond physical memory are
-    refused before the first chain.
+    at once; with cfg.coassign that includes the float32 co-assignment tally
+    of exact counts (module docstring). Kept states or a co-assignment tally
+    beyond physical memory are refused before the first chain.
     """
     if len(h.pi) != g.n:
         raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
@@ -398,19 +418,21 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     label_tally = x.sum(axis=0, dtype=np.int64)
     coassign = None
     if cfg.coassign:
-        # C = 2 X^T X - t_i - t_j + R over the 0/1 group-1 indicators X of the
-        # R retained draws; X^T X is accumulated in place, TALLY_BLOCK draws
-        # per BLAS call. Sums of 0/1 stay exact in float64.
-        from scipy.linalg.blas import dgemm
+        # the float32 tally (R + Y^T Y) / 2 of the module docstring; x - 1/2
+        # = y/2 as (n, block) in Fortran order, which ssyrk takes as is
+        from scipy.linalg.blas import ssyrk
 
-        coassign = np.zeros((n, n), order="F")
+        coassign = np.full((n, n), total_retained / 2, dtype=np.float32, order="F")
         for start in range(0, total_retained, TALLY_BLOCK):
-            xt = x[start:start + TALLY_BLOCK].T.astype(np.float64)  # Fortran order
-            dgemm(1.0, xt, xt, beta=1.0, c=coassign, trans_b=1, overwrite_c=1)
-        coassign *= 2
-        coassign -= label_tally[:, None]
-        coassign -= label_tally[None, :]
-        coassign += total_retained
+            half_y = np.subtract(x[start:start + TALLY_BLOCK].T, 0.5, dtype=np.float32)
+            ssyrk(2.0, half_y, beta=1.0, c=coassign, overwrite_c=1)
+        below_diagonal = np.tri(MIRROR_BLOCK, k=-1, dtype=bool)
+        for i in range(0, n, MIRROR_BLOCK):
+            tile = coassign[i:i + MIRROR_BLOCK, i:i + MIRROR_BLOCK]
+            np.copyto(tile, tile.T, where=below_diagonal[:len(tile), :len(tile)])
+            for j in range(i + MIRROR_BLOCK, n, MIRROR_BLOCK):
+                coassign[j:j + MIRROR_BLOCK, i:i + MIRROR_BLOCK] = \
+                    coassign[i:i + MIRROR_BLOCK, j:j + MIRROR_BLOCK].T
     return PosteriorSamples(
         draws=draws,
         label_tally=label_tally,

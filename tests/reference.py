@@ -1,8 +1,9 @@
 """Reference implementations that the package is checked against.
 
 Plain, slow code with no caches: the label prior, the collapsed Bernoulli
-likelihood, and a chain whose state is a numpy {1, 2} label array, swept with
-a Python loop over each node's adjacency and tallied draw by draw.
+likelihood, a chain whose state is a numpy {1, 2} label array, swept with
+a Python loop over each node's adjacency and tallied draw by draw, and an
+SBM generator that draws every block's uniforms in one call.
 """
 
 import math
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mesoscale import sampler
+from mesoscale.graph import Graph
 from mesoscale.model import BlockCounts, BlockProbs, Hyperparameters
 from mesoscale.sampler import ChainConfig, chain_rng, gibbs_update_probs, sweep_draws
 
@@ -162,3 +164,25 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
         "size_tally": size_tally, "coassign_tally": coassign,
         "chain_acceptance": tuple(chain_acceptance),
     }
+
+
+def triu_generate_sbm(spec) -> Graph:
+    """generate_sbm with each block's uniforms drawn at once: np.triu_indices
+    for the 11 and 22 blocks and an (n1, n2) matrix for the 12 block."""
+    n1, n2 = spec.sizes
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
+    edges = []
+
+    i1, j1 = np.triu_indices(n1, k=1)
+    keep = rng.random(len(i1)) < spec.p.p11
+    edges.extend(zip(i1[keep].tolist(), j1[keep].tolist()))
+
+    if n1 > 0 and n2 > 0:
+        cross = rng.random((n1, n2)) < spec.p.p12
+        ci, cj = np.nonzero(cross)
+        edges.extend(zip(ci.tolist(), (cj + n1).tolist()))
+
+    i2, j2 = np.triu_indices(n2, k=1)
+    keep = rng.random(len(i2)) < spec.p.p22
+    edges.extend(zip((i2[keep] + n1).tolist(), (j2[keep] + n1).tolist()))
+    return Graph.from_edges(edges, n=spec.n)

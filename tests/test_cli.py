@@ -109,7 +109,7 @@ class TestAnalyze:
         monkeypatch.setattr(sampler, "physical_memory", lambda: 1024)
         assert run_cli("analyze", "--dataset", "karate", "--samples", "100",
                        "--burn-in", "10", "--coassign") == 1
-        assert f"needs {8 * 34 * 34} bytes" in capsys.readouterr().err
+        assert f"needs {4 * 34 * 34} bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, need", [
         (("--samples", "100000000000", "--burn-in", "0"),
@@ -535,13 +535,17 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
      "error: --a0-12 (or --a0) must be finite and positive, got 0.0"),
     (ANALYZE, ["--b0", "-1"],
      "error: --b0-11 (or --b0) must be finite and positive, got -1.0"),
+    (["analyze", "--dataset", "karate", "--coassign"],
+     ["--samples", str(2**23 + 1), "--burn-in", "0"],
+     "error: --coassign tallies at most 8388608 retained draws exactly, got "
+     "8388609 (--chains times the draws each chain retains)"),
 ], ids=["analyze-samples", "thin", "chains", "simulate-samples", "replicates",
         "simulate-frac", "analyze-burn-in", "simulate-burn-in", "generate-frac",
         "sizes", "sizes-dash", "sizes-not-n", "generate-p11", "generate-p12-nan",
         "generate-p22", "simulate-p11", "simulate-p22-nan", "grid-value",
         "grid-nan", "grid-range-stop", "grid-range-repeats", "grid-list-repeats",
         "thin-retains-nothing", "pi",
-        "oracle-pi", "a0", "b0-22", "oracle-a0-12", "b0"])
+        "oracle-pi", "a0", "b0-22", "oracle-a0-12", "b0", "coassign"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):
     """Exit 1 before any work, with a message naming the option: argparse
@@ -579,15 +583,16 @@ def test_burn_in_not_below_samples_names_both_options(command, burn_in,
      "--replicates", "1", "--samples", "30", "--burn-in", "10"],
 ], ids=["generate", "simulate"])
 def test_graph_beyond_memory_is_usage_error(command, monkeypatch, capsys, tmp_path):
-    """A graph whose generation would not fit (25 bytes a node pair, 230 an
-    expected edge) is refused before any array is built or any fit runs."""
+    """A graph whose generation would not fit (2.5 MB, 160 bytes a node and
+    240 an expected edge) is refused before any array is built or any fit
+    runs."""
     from mesoscale import sampler, synth
-    monkeypatch.setattr(sampler, "physical_memory", lambda: 10**9)
+    monkeypatch.setattr(sampler, "physical_memory", lambda: 10**8)
     monkeypatch.setattr(cli, "generate_sbm", None)  # must not be reached
     monkeypatch.setattr(synth, "run_chain", None)
     assert run_cli(*command, "--out", str(tmp_path / "x")) == 1
     assert capsys.readouterr().err == (
-        "error: --n 30000 needs 11353121550 bytes, more than the 1000000000 "
+        "error: --n 30000 needs 115296400 bytes, more than the 100000000 "
         "bytes of physical memory\n")
     assert list(tmp_path.iterdir()) == []
 

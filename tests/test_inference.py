@@ -137,6 +137,7 @@ class TestCoassignment:
         s, c = run_recording_labels(g, h, cfg)
         mat = coassignment_matrix(s)
         recount = np.mean(c[:, :, None] == c[:, None, :], axis=0)
+        assert mat.dtype == np.float64
         assert np.array_equal(mat, recount)
         assert np.allclose(mat, mat.T)
         assert np.all(np.diag(mat) == 1.0)

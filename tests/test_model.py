@@ -340,7 +340,8 @@ class TestHyperparameters:
 
 SHAPES = dict(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0, a0_22=1.0, b0_22=1.0)
 VALID = {
-    ChainConfig: dict(total_samples=100, burn_in=10),
+    # one retained draw more than the co-assignment tally counts exactly
+    ChainConfig: dict(total_samples=2**23 + 11, burn_in=10),
     Hyperparameters: dict(SHAPES, pi=np.full(3, 0.5)),
     GeneratorSpec: dict(n=10, sizes=(4, 6), p=BlockProbs(0.1, 0.2, 0.3)),
     SweepSpec: dict(n=10, sizes=(4, 6), p11=0.2, p22=0.1, p12_grid=(0.1,),
@@ -348,7 +349,7 @@ VALID = {
 }
 # one out-of-range value per field that a CLI option sets
 BAD = {
-    ChainConfig: dict(total_samples=0, burn_in=-1, thin=0, chains=0),
+    ChainConfig: dict(total_samples=0, burn_in=-1, thin=0, chains=0, coassign=True),
     Hyperparameters: dict({name: 0.0 for name in SHAPES}, pi=np.array([0.5, 1.0])),
     GeneratorSpec: dict(n=0, sizes=(4, 7), p=BlockProbs(0.1, 1.5, 0.3)),
     SweepSpec: dict(n=0, p11=math.nan, p22=-0.1, p12_grid=(0.1, 2.0), replicates=0),

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -587,6 +588,17 @@ class TestRunChain:
         with pytest.raises(ValueError, match="no draws retained"):
             ChainConfig(total_samples=10, burn_in=5, thin=10)
 
+    def test_coassign_limited_to_the_draws_float32_counts_exactly(self):
+        """2**23 retained draws in all chains are accepted with the tally,
+        one more is refused; without the tally the count is not limited."""
+        at_limit = dict(total_samples=2**22 + 1, burn_in=1, chains=2)
+        assert ChainConfig(coassign=True, **at_limit).coassign
+        with pytest.raises(ValueError, match=(
+                r"^--coassign tallies at most 8388608 retained draws exactly, "
+                r"got 8388610 \(--chains times")):
+            ChainConfig(coassign=True, **{**at_limit, "total_samples": 2**22 + 2})
+        ChainConfig(**{**at_limit, "total_samples": 2**22 + 2})
+
 
 def karate_prior(a, b, pi):
     """Shapes (a11, a12, a22) and (b11, b12, b22) with per-node pi on karate."""
@@ -654,6 +666,42 @@ class TestCoassignTally:
         recount = np.sum(c[:, :, None] == c[:, None, :], axis=0)
         assert np.array_equal(s.coassign_tally, recount)
 
+    def test_matches_int64_recount_in_partial_blocks_and_tiles(self, monkeypatch):
+        """3 draws per BLAS update and 4-node mirror tiles divide neither the
+        100 retained draws nor the 23 nodes; the float32 tally still equals
+        the reference's int64 count draw by draw."""
+        g, _ = generate_sbm(GeneratorSpec(n=23, sizes=(10, 13),
+                                          p=BlockProbs(0.5, 0.1, 0.4), seed=9))
+        h = Hyperparameters.uniform(g.n)
+        cfg = ChainConfig(total_samples=60, burn_in=10, chains=2, seed=9,
+                          coassign=True)
+        monkeypatch.setattr(sampler, "TALLY_BLOCK", 3)
+        monkeypatch.setattr(sampler, "MIRROR_BLOCK", 4)
+        s = run_chain(g, h, cfg)
+        ref = numpy_run_chain(g, h, cfg)
+        assert s.retained == 100
+        assert s.coassign_tally.dtype == np.float32
+        assert np.array_equal(s.coassign_tally, ref["coassign_tally"])
+
+    def test_memory_peak_is_the_float32_tally(self):
+        """At n = 1000 the tracemalloc peak of a run with the tally stays
+        below its 4 n^2 bytes plus 1 MiB: no n x n float64 array or n x n
+        temporary is made."""
+        n = 1000
+        g, _ = generate_sbm(GeneratorSpec(n=n, sizes=(400, 600),
+                                          p=BlockProbs(0.02, 0.005, 0.01), seed=3))
+        h = Hyperparameters.uniform(n)
+        cfg = ChainConfig(total_samples=60, burn_in=10, seed=3, coassign=True)
+        import scipy.linalg.blas  # noqa: F401  loaded before tracing: no import in the peak
+        tracemalloc.start()
+        try:
+            s = run_chain(g, h, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diag(s.coassign_tally) == s.retained)
+        assert peak < 4 * n * n + 2**20
+
     def test_leaves_other_outputs_unchanged(self):
         g = load_dataset("karate")
         h = Hyperparameters.uniform(g.n)
@@ -669,9 +717,9 @@ class TestCoassignTally:
     def test_refused_before_the_chain_when_memory_is_short(self, monkeypatch):
         g = path_graph(10)
         h = Hyperparameters.uniform(10)
-        monkeypatch.setattr(sampler, "physical_memory", lambda: 8 * 10 * 10 - 1)
+        monkeypatch.setattr(sampler, "physical_memory", lambda: 4 * 10 * 10 - 1)
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
-        with pytest.raises(ValueError, match="needs 800 bytes"):
+        with pytest.raises(ValueError, match="needs 400 bytes"):
             run_chain(g, h, ChainConfig(total_samples=20, burn_in=0,
                                         coassign=True))
 

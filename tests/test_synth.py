@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mesoscale import synth
 from mesoscale.model import BlockProbs
 from mesoscale.sampler import ChainConfig
 from mesoscale.synth import (
@@ -10,6 +13,7 @@ from mesoscale.synth import (
     run_sweep,
     sweep_table_csv,
 )
+from reference import triu_generate_sbm
 
 
 class TestGenerateSbm:
@@ -58,6 +62,44 @@ class TestGenerateSbm:
         for col, (m, q) in enumerate(zip(pair_totals, p)):
             se = np.sqrt(m * q * (1 - q) / reps)
             assert abs(counts[:, col].mean() - m * q) < 3 * se
+
+    # (n, sizes, p, seed): one node, empty blocks, p in {0, 1}, and a 11
+    # block of 311 655 pairs, which the default chunk splits mid-row
+    EDGE_CASES = {
+        "n-1-in-block-1": (1, (1, 0), (1.0, 1.0, 1.0), 1),
+        "n-1-in-block-2": (1, (0, 1), (1.0, 1.0, 1.0), 2),
+        "block-1-empty": (7, (0, 7), (0.5, 0.5, 0.5), 3),
+        "block-2-empty": (7, (7, 0), (0.5, 0.5, 0.5), 4),
+        "p-0-1-0": (9, (4, 5), (0.0, 1.0, 0.0), 5),
+        "p-1-0-1": (9, (4, 5), (1.0, 0.0, 1.0), 6),
+        "mixed": (15, (6, 9), (0.3, 0.5, 0.7), 7),
+        "sizes-790-10": (800, (790, 10), (0.3, 0.2, 0.6), 8),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 5, synth.PAIR_CHUNK])
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_chunked_draw_matches_one_draw_per_block(self, case, chunk,
+                                                     monkeypatch):
+        n, sizes, p, seed = self.EDGE_CASES[case]
+        spec = GeneratorSpec(n=n, sizes=sizes, p=BlockProbs(*p), seed=seed)
+        monkeypatch.setattr(synth, "PAIR_CHUNK", chunk)
+        g, _ = generate_sbm(spec)
+        ref = triu_generate_sbm(spec)
+        assert (g.n, g.m, g.adjacency) == (ref.n, ref.m, ref.adjacency)
+
+    def test_memory_peak_is_bounded_by_the_edges(self):
+        """At the coassign-large benchmark's spec (18M node pairs, 41k edges)
+        the tracemalloc peak stays below 20 MB; drawing each block's
+        uniforms at once peaked at 55 MB."""
+        spec = GeneratorSpec(n=3000, sizes=(1200, 1800),
+                             p=BlockProbs(0.02, 0.005, 0.01), seed=4)
+        tracemalloc.start()
+        try:
+            generate_sbm(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_size_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
