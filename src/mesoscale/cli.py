@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .inference import (
     require_quadrature,
 )
 from .model import BlockProbs, Hyperparameters
-from .sampler import ChainConfig, require_chain_memory, require_memory, run_chain
+from .sampler import ChainConfig, require_memory, run_chain
 from .synth import GeneratorSpec, SweepSpec, generate_sbm, run_sweep, sweep_table_csv
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _hyper_from_args(args) -> Hyperparameters:
         a0_11=pick(args.a0_11, args.a0), b0_11=pick(args.b0_11, args.b0),
         a0_12=pick(args.a0_12, args.a0), b0_12=pick(args.b0_12, args.b0),
         a0_22=pick(args.a0_22, args.a0), b0_22=pick(args.b0_22, args.b0),
-        pi=np.full(1, args.pi),  # checked now, widened to n once the graph is read
+        pi=args.pi,
     )
 
 
@@ -165,10 +165,8 @@ def cmd_analyze(args) -> int:
         init="random_labels" if args.init == "random" else "degree_split")
     require_bins(args.bins)
     g, source = _load_graph(args)
-    h = replace(h, pi=np.full(g.n, args.pi))
-    # every array the command builds, checked before sampling; each of the
-    # three density histograms keeps a float64 edge and mass per bin
-    require_chain_memory(g.n, cfg)
+    # each of the three density histograms keeps a float64 edge and mass per
+    # bin; run_chain checks its own arrays before it allocates them
     require_memory(48 * args.bins, f"--bins {args.bins}")
     t0 = time.perf_counter()
     samples = run_chain(g, h, cfg)
@@ -260,7 +258,6 @@ def cmd_oracle(args) -> int:
     h = _hyper_from_args(args)
     require_quadrature(args.quad_points)
     g, source = _load_graph(args)
-    h = replace(h, pi=np.full(g.n, args.pi))
     verdict = exact_structure_posterior(g, h, quadrature_points=args.quad_points)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,

@@ -222,14 +222,12 @@ class _CdfFamilies:
         return rows
 
 
-def _labelling_counts(
-    g: Graph, h: Hyperparameters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """n1, M11, M22 and the log label prior of every labelling of g.
+def _labelling_counts(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n1, M11 and M22 of every labelling of g.
 
     Labelling k puts node i in group 1 when bit i of k is set; its M12 is
-    g.m - M11 - M22. The label prior uses log p(c) = log p(all nodes in
-    group 2) + sum of log_odds over the group-1 nodes.
+    g.m - M11 - M22. Its label prior, pi^n1 (1 - pi)^(n - n1), depends on n1
+    alone, so the key (n1, M11, M22) fixes the labelling's whole weight.
     """
     k = np.arange(2 ** g.n)
     in1 = [(k >> i) & 1 == 1 for i in range(g.n)]
@@ -239,9 +237,7 @@ def _labelling_counts(
     for i, j in g.edges():
         M11 += in1[i] & in1[j]
         M22 += ~(in1[i] | in1[j])
-    log_prior = np.log1p(-h.pi).sum() + sum(
-        col * log_odds for col, log_odds in zip(in1, h.log_odds))
-    return n1, M11, M22, log_prior
+    return n1, M11, M22
 
 
 def _conditional_orderings(
@@ -311,34 +307,34 @@ def exact_structure_posterior(
     """Brute-force verdict: enumerate all 2^n label vectors.
 
     Each vector is weighted by its marginal likelihood times label prior.
-    Vectors with the same block counts share their conditional ordering
-    probabilities: Simpson quadrature of p12's density on `quadrature_points`
-    evenly spaced points of [0, 1] (any number >= 3; an even number takes
-    scipy's correction on the last interval) against the CDFs of p11 and p22,
-    which _CdfFamilies tabulates from one betainc call per family and grid
-    chunk. An overflow or invalid operation raises FloatingPointError, and a
-    verdict outside [0, 1] raises ArithmeticError. Only feasible for
-    n <= ENUMERATION_LIMIT (18).
+    Both depend only on its key (n1, M11, M22), so each key's weight is taken
+    once and times the number of vectors that share it. Each key has its
+    conditional ordering probabilities: Simpson quadrature of p12's density
+    on `quadrature_points` evenly spaced points of [0, 1] (any number >= 3;
+    an even number takes scipy's correction on the last interval) against
+    the CDFs of p11 and p22, which _CdfFamilies tabulates from one betainc
+    call per family and grid chunk. An overflow or invalid operation raises
+    FloatingPointError, and a verdict outside [0, 1] raises ArithmeticError.
+    Only feasible for n <= ENUMERATION_LIMIT (18).
     """
     if g.n > ENUMERATION_LIMIT:
         raise ValueError(
             f"exact enumeration is limited to n <= {ENUMERATION_LIMIT} nodes "
             f"(got n={g.n})"
         )
-    if len(h.pi) != g.n:
-        raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
     require_quadrature(quadrature_points)
 
-    n1, M11, M22, log_prior = _labelling_counts(g, h)
+    n1, M11, M22 = _labelling_counts(g)
     # (n1, M11, M22) fixes every block count; pack it into one integer key,
     # then work per key
     base = g.m + 1
-    keys, inverse = np.unique((n1.astype(np.int64) * base + M11) * base + M22,
-                              return_inverse=True)
+    keys, labellings = np.unique((n1.astype(np.int64) * base + M11) * base + M22,
+                                 return_counts=True)
     n1, M11, M22 = keys // base**2, keys // base % base, keys % base
     counts = BlockCounts.of(M11, g.m - M11 - M22, M22, n1, g.n - n1)
-    log_weights = log_marginal_likelihood(counts, h)[inverse] + log_prior
-    weights = np.bincount(inverse, np.exp(log_weights - log_weights.max()))
+    # the label prior up to its constant (1 - pi)^n: exp(n1 * log_odds)
+    log_weights = log_marginal_likelihood(counts, h) + n1 * h.log_odds
+    weights = labellings * np.exp(log_weights - log_weights.max())
     weights /= weights.sum()
     qa, qd = _conditional_orderings(counts, h, quadrature_points)
     pa, pd = weights @ qa, weights @ qd

@@ -9,6 +9,7 @@ commands start without scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,9 +57,10 @@ class BlockCounts(NamedTuple):
         return BlockCounts.of(self.M22, self.M12, self.M11, self.n2, self.n1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Hyperparameters:
-    """Beta shapes per block pair and per-node prior probabilities of group 1."""
+    """Beta shapes per block pair and the prior probability pi that a node is
+    in group 1, the same for every node."""
 
     a0_11: float = field(metadata={"option": "--a0-11 (or --a0)"})
     b0_11: float = field(metadata={"option": "--b0-11 (or --b0)"})
@@ -66,9 +68,8 @@ class Hyperparameters:
     b0_12: float = field(metadata={"option": "--b0-12 (or --b0)"})
     a0_22: float = field(metadata={"option": "--a0-22 (or --a0)"})
     b0_22: float = field(metadata={"option": "--b0-22 (or --b0)"})
-    pi: np.ndarray = field(metadata={"option": "--pi"})
-    log_odds: np.ndarray = field(init=False, repr=False)  # log(pi / (1 - pi))
-    even_odds: bool = field(init=False, repr=False)  # every log_odds is 0
+    pi: float = field(metadata={"option": "--pi"})
+    log_odds: float = field(init=False, repr=False)  # log(pi / (1 - pi))
     # the exchange of the two groups leaves the prior unchanged
     swap_symmetric: bool = field(init=False, repr=False)
 
@@ -78,16 +79,15 @@ class Hyperparameters:
             if not 0 < getattr(self, name) < math.inf:  # also rejects nan
                 raise ValueError(f"{option(self, name)} must be finite and "
                                  f"positive, got {getattr(self, name)}")
-        pi = np.asarray(self.pi, dtype=float)
-        outside = pi[~((pi > 0) & (pi < 1))]  # nan too
-        if outside.size:
+        if not (isinstance(self.pi, numbers.Real) and 0 < self.pi < 1):  # nan too
             raise ValueError(f"{option(self, 'pi')} must lie strictly in (0, 1), "
-                             f"got {outside[0]}")
+                             f"got {self.pi}")
+        pi = float(self.pi)
         object.__setattr__(self, "pi", pi)
-        log_odds = np.log(pi) - np.log1p(-pi)
+        # numpy's logs, the ones the seeded results were recorded with
+        log_odds = float(np.log(pi) - np.log1p(-pi))
         object.__setattr__(self, "log_odds", log_odds)
-        object.__setattr__(self, "even_odds", not log_odds.any())
-        object.__setattr__(self, "swap_symmetric", s11 == s22 and self.even_odds)
+        object.__setattr__(self, "swap_symmetric", s11 == s22 and log_odds == 0.0)
 
     @property
     def shapes(self) -> tuple[tuple[float, float], ...]:
@@ -96,10 +96,9 @@ class Hyperparameters:
                 (self.a0_22, self.b0_22))
 
     @classmethod
-    def uniform(cls, n: int, a0: float = 1.0, b0: float = 1.0, pi: float = 0.5):
-        """Same Beta(a0, b0) on every block pair and flat pi for all n nodes."""
-        return cls(a0_11=a0, b0_11=b0, a0_12=a0, b0_12=b0, a0_22=a0, b0_22=b0,
-                   pi=np.full(n, pi))
+    def uniform(cls, a0: float = 1.0, b0: float = 1.0, pi: float = 0.5):
+        """Same Beta(a0, b0) on every block pair, with prior pi of group 1."""
+        return cls(a0_11=a0, b0_11=b0, a0_12=a0, b0_12=b0, a0_22=a0, b0_22=b0, pi=pi)
 
 
 def group1_degrees(g: Graph, flags: bytes) -> list[int]:

@@ -24,12 +24,11 @@ def edge_list_sha256(g: Graph) -> str:
 
 
 def _hyper_dict(h: Hyperparameters) -> dict:
-    pi_echo = float(h.pi[0]) if len(set(h.pi.tolist())) == 1 else h.pi.tolist()
     return {
         "a0_11": h.a0_11, "b0_11": h.b0_11,
         "a0_12": h.a0_12, "b0_12": h.b0_12,
         "a0_22": h.a0_22, "b0_22": h.b0_22,
-        "pi": pi_echo,
+        "pi": h.pi,
     }
 
 

@@ -25,7 +25,7 @@ per edge and per non-edge of moving a pair from block 11 to 12 (12 to 22):
     group 2 -> 1:  delta = k0 - (a*d1 + b_i)
 
     a   = (w1 - v1) - (w2 - v2)
-    b_i = deg_i*(w2 - v2) - log_odds_i
+    b_i = deg_i*(w2 - v2) - log_odds
     k1  = (n1 - 1)*v1 + n2*v2,   k0 = -(n2 - 1)*v2 - n1*v1
 
 a is fixed by p, b is one numpy vector per sweep gathered in visiting order,
@@ -52,8 +52,9 @@ The sweeps' randomness comes from sweep_draws, one endless iterator per
 chain over the chain's own RNG. For each block of k = max(1, SWEEP_BLOCK // n)
 sweeps it makes one row-wise permutation of a (k, n) array, one log of k*n
 uniforms and one gather of the degrees in visiting order, then hands them
-out a sweep at a time. A block holds about 100 KB (4096 orders and degrees as
-int64, 4096 Python floats); above 4096 nodes it is a single sweep. Drawing a
+out a sweep at a time. A block holds about 100 KB (4096 orders, degrees and
+log u, 8 bytes each); each sweep's n log u become Python floats only when that
+sweep is handed out. Above 4096 nodes a block is a single sweep. Drawing a
 block ahead leaves the chain's law as it was, a fresh uniform order and
 fresh uniforms each sweep, but puts those draws at other places in the RNG
 stream than one sweep at a time would.
@@ -185,19 +186,14 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 def init_chain(
-    g: Graph,
-    h: Hyperparameters,
-    cfg: ChainConfig,
-    chain_index: int = 0,
-    rng: np.random.Generator | None = None,
+    g: Graph, h: Hyperparameters, cfg: ChainConfig, rng: np.random.Generator
 ) -> ChainState:
-    """Draw the initial state: p from its prior, then labels per cfg.init.
+    """Draw the initial state from the chain's rng: p from its prior, then
+    labels per cfg.init.
 
-    random_labels draws each c_i from Bernoulli(pi_i); degree_split puts nodes
+    random_labels draws each c_i from Bernoulli(pi); degree_split puts nodes
     with degree >= the median degree in group 1 (ties go to group 1).
     """
-    if rng is None:
-        rng = chain_rng(cfg.seed, chain_index)
     p = BlockProbs(*(rng.beta(a, b) for a, b in h.shapes))
     if cfg.init == "random_labels":
         c = np.where(rng.random(g.n) < h.pi, 1, 2).astype(np.int64)
@@ -226,8 +222,8 @@ def sweep_draws(rng: np.random.Generator, g: Graph) -> Iterator[SweepDraw]:
     rows = np.broadcast_to(np.arange(n), (max(1, SWEEP_BLOCK // n), n))
     while True:
         orders = rng.permuted(rows, axis=1)
-        log_us = np.log(rng.random(rows.shape)).tolist()
-        yield from zip(orders, g.degree_array[orders], log_us)
+        log_us = np.log(rng.random(rows.shape))
+        yield from zip(orders, g.degree_array[orders], map(np.ndarray.tolist, log_us))
 
 
 def label_sweep(
@@ -252,8 +248,8 @@ def label_sweep(
 
     order, order_degrees, log_us = next(sweeps)
     bs = (w2 - v2) * order_degrees
-    if not h.even_odds:
-        bs -= h.log_odds[order]
+    if h.log_odds:
+        bs -= h.log_odds
 
     adjacency, degrees = g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
@@ -318,17 +314,17 @@ def exchange_groups(
     logs taken at p clamped like the sweep's. At a ratio of exactly 1 it is
     skipped without a draw: acceptance 0 both ways keeps detailed balance.
     Under a swap-symmetric prior (h.swap_symmetric) the ratio is 1 in every
-    state, so the move returns before computing it; otherwise the label term
-    is taken on a zero-copy view of state.flags. An accepted move flips every
-    flag and turns each group-1 neighbour count into degree - d1.
+    state, so the move returns before computing it. The label term is
+    log_odds * (n2 - n1), exactly 0 at n1 == n2, where equal shapes give a
+    ratio of exactly 1. An accepted move flips every flag and turns each
+    group-1 neighbour count into degree - d1.
     """
     if h.swap_symmetric:
         return state
-    in1 = np.frombuffer(state.flags, dtype=bool)
     lp11, l1m11 = _logs(state.p.p11)
     lp22, l1m22 = _logs(state.p.p22)
     log_ratio = (
-        float(h.log_odds.dot(~in1) - h.log_odds.dot(in1))
+        h.log_odds * (state.counts.n2 - state.counts.n1)
         + (h.a0_11 - h.a0_22) * (lp22 - lp11)
         + (h.b0_11 - h.b0_22) * (l1m22 - l1m11)
     )
@@ -359,15 +355,6 @@ def require_memory(need: float, what: str) -> None:
         )
 
 
-def require_chain_memory(n: int, cfg: ChainConfig) -> None:
-    """Refuse (ValueError) a run on n nodes whose float32 co-assignment tally
-    (4 n^2 bytes) or kept states (24 + n bytes each) exceed physical memory."""
-    if cfg.coassign:
-        require_memory(4 * n * n, f"co-assignment tally for n={n}")
-    retained = cfg.retained_per_chain * cfg.chains
-    require_memory((24 + n) * retained, f"kept states ({retained} draws)")
-
-
 def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSamples:
     """Run cfg.chains independent chains and pool their retained draws.
 
@@ -375,16 +362,17 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     update, group exchange), keeping p and the flags of every thin-th state
     after burn_in. The kept states are then named so p11 >= p22 and tallied
     at once; with cfg.coassign that includes the float32 co-assignment tally
-    of exact counts (module docstring). Kept states or a co-assignment tally
-    beyond physical memory are refused before the first chain.
+    of exact counts (module docstring). Kept states (24 + n bytes each) or a
+    co-assignment tally (4 n^2 bytes) beyond physical memory are refused
+    (ValueError) before the first chain.
     """
-    if len(h.pi) != g.n:
-        raise ValueError(f"pi length {len(h.pi)} != graph n={g.n}")
     n = g.n
     retained_per_chain = cfg.retained_per_chain
     total_retained = retained_per_chain * cfg.chains
 
-    require_chain_memory(n, cfg)
+    if cfg.coassign:
+        require_memory(4 * n * n, f"co-assignment tally for n={n}")
+    require_memory((24 + n) * total_retained, f"kept states ({total_retained} draws)")
     draws = np.empty((total_retained, 3))
     kept = bytearray(total_retained * n)  # the flags of draw r at [r*n, (r+1)*n)
     chain_acceptance = []
@@ -392,7 +380,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
 
     for chain_index in range(cfg.chains):
         rng = chain_rng(cfg.seed, chain_index)
-        state = init_chain(g, h, cfg, chain_index, rng=rng)
+        state = init_chain(g, h, cfg, rng)
         accepted_post = 0
         with np.errstate(divide="ignore"):  # the sweep's log u at u == 0
             sweeps = sweep_draws(rng, g)

@@ -150,7 +150,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         for rep in range(spec.replicates):
             gen_seed, fit_seed = replicate_seeds(spec.seed, grid_index, rep)
             g, _ = generate_sbm(spec.generator(p12, gen_seed))
-            samples = run_chain(g, Hyperparameters.uniform(g.n),
+            samples = run_chain(g, Hyperparameters.uniform(),
                                 replace(spec.chain, seed=fit_seed))
             verdict = classify_structure(samples)
             probs[rep] = verdict.as_tuple()

@@ -30,12 +30,9 @@ def _bernoulli_block_term(M: int, m: int, p: float) -> float:
 
 
 def log_prior_labels(c: np.ndarray, h: Hyperparameters) -> float:
-    """Sum of log pi_i for group-1 nodes and log(1 - pi_i) otherwise."""
-    c = np.asarray(c)
-    if len(c) != len(h.pi):
-        raise ValueError(f"label vector length {len(c)} != pi length {len(h.pi)}")
-    in1 = c == 1
-    return float(np.sum(np.log(h.pi[in1])) + np.sum(np.log1p(-h.pi[~in1])))
+    """Sum of log pi over the group-1 nodes and log(1 - pi) over the others."""
+    return sum(math.log(h.pi) if label == 1 else math.log1p(-h.pi)
+               for label in np.asarray(c).tolist())
 
 
 def log_likelihood(counts: BlockCounts, p: BlockProbs) -> float:
@@ -65,7 +62,6 @@ def loop_label_sweep(state, g, h, sweeps):
     lp11, l1m11 = sampler._logs(state.p.p11)
     lp12, l1m12 = sampler._logs(state.p.p12)
     lp22, l1m22 = sampler._logs(state.p.p22)
-    log_odds = h.log_odds.tolist()
     order, _, log_us = next(sweeps)
     order = order.tolist()
     ing1 = (state.c == 1).astype(np.int64).tolist()
@@ -84,13 +80,13 @@ def loop_label_sweep(state, g, h, sweeps):
             delta = (
                 d1 * (lp12 - lp11) + (n1 - 1 - d1) * (l1m12 - l1m11)
                 + d2 * (lp22 - lp12) + (n2 - d2) * (l1m22 - l1m12)
-                - log_odds[i]
+                - h.log_odds
             )
         else:
             delta = (
                 d2 * (lp12 - lp22) + (n2 - 1 - d2) * (l1m12 - l1m22)
                 + d1 * (lp11 - lp12) + (n1 - d1) * (l1m11 - l1m12)
-                + log_odds[i]
+                + h.log_odds
             )
         if delta >= 0.0 or log_us[k] < delta:
             accepted += 1
@@ -113,11 +109,11 @@ def loop_label_sweep(state, g, h, sweeps):
 
 def numpy_exchange_groups(state, g, h, rng):
     """The group exchange on a NumpyState, its ratio computed in every state."""
-    in1 = state.c == 1
+    n1 = int(np.sum(state.c == 1))
     lp11, l1m11 = sampler._logs(state.p.p11)
     lp22, l1m22 = sampler._logs(state.p.p22)
     log_ratio = (
-        float(h.log_odds.dot(~in1) - h.log_odds.dot(in1))
+        h.log_odds * (len(state.c) - 2 * n1)
         + (h.a0_11 - h.a0_22) * (lp22 - lp11)
         + (h.b0_11 - h.b0_22) * (l1m22 - l1m11)
     )
@@ -139,7 +135,7 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
     chain_acceptance = []
     for chain_index in range(cfg.chains):
         rng = chain_rng(cfg.seed, chain_index)
-        init = sampler.init_chain(g, h, cfg, chain_index, rng=rng)
+        init = sampler.init_chain(g, h, cfg, rng)
         state = NumpyState(c=init.c, p=init.p, counts=init.counts)
         sweeps = sweep_draws(rng, g)
         accepted_post = 0

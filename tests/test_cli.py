@@ -105,10 +105,11 @@ class TestAnalyze:
         assert "no nodes" in capsys.readouterr().err
 
     def test_coassign_beyond_memory_is_usage_error(self, monkeypatch, capsys):
+        """The tally alone exceeds memory: 2 density bins take 96 bytes."""
         from mesoscale import sampler
         monkeypatch.setattr(sampler, "physical_memory", lambda: 1024)
         assert run_cli("analyze", "--dataset", "karate", "--samples", "100",
-                       "--burn-in", "10", "--coassign") == 1
+                       "--burn-in", "10", "--bins", "2", "--coassign") == 1
         assert f"needs {4 * 34 * 34} bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, need", [
@@ -650,7 +651,7 @@ def test_only_the_oracle_imports_scipy(tmp_path):
                      if m == "scipy" or m.startswith("scipy.")))
         mesoscale.exact_structure_posterior(
             mesoscale.Graph.from_edges([(0, 1)], n=3),
-            mesoscale.Hyperparameters.uniform(3))
+            mesoscale.Hyperparameters.uniform())
         print([m in sys.modules
                for m in ("scipy.special", "scipy.stats", "scipy.integrate")])
     """)

@@ -6,6 +6,11 @@ orders and uniforms a block of sweeps at a time (sampler.sweep_draws), which
 moved those draws in each chain's RNG stream. A change that alters one of
 them changes a seeded result, and must say so and why when it records new
 hashes.
+
+The oracle case was recorded when the label prior became one pi for every
+node, so the oracle weighs each key (n1, M11, M22) once. ROADMAP item 1
+changes the oracle's quadrature, and so its verdict and these bytes; it will
+record a new hash for this case and say why.
 """
 
 import hashlib
@@ -15,6 +20,9 @@ import pytest
 from mesoscale.cli import main
 
 ANALYZE = ["analyze", "--dataset", "karate", "--samples", "600", "--burn-in", "100"]
+# the oracle case's input, written into the case's directory first
+SBM_14 = ["generate", "--n", "14", "--sizes", "6,8", "--p11", "0.7", "--p12", "0.3",
+          "--p22", "0.2", "--seed", "13", "--out", "sbm"]
 CASES = {
     "analyze-karate-pi-0.5": (ANALYZE + ["--seed", "3"], {
         "report.json": "b47aeeea01fd4fc40442246defc151fbb4c9cdaf7ee0d03d1a8828b749b7cd39",
@@ -33,14 +41,22 @@ CASES = {
         "sweep.csv": "9f683cca2df74193b408b023aec355333b343adf19cc922a8b1d63efacba17fa",
         "raw.csv": "8eee201c7c6f0d4d86333b9b5f4f0030962aafff4ea44753abcea85a6b0cc3ff",
     }),
+    "oracle-sbm-14-pi-0.2": ([
+        "oracle", "sbm.edges", "--nodes", "sbm.nodes", "--pi", "0.2",
+    ], {
+        "oracle.json": "3594890d13daab9cb1a9c9da7fb7da7403cf01f8559b5fcb7968cc09a38cb301",
+    }),
 }
 FLAGS = {"report.json": "--out", "traces.csv": "--emit-traces",
-         "sweep.csv": "--out", "raw.csv": "--raw-out"}
+         "sweep.csv": "--out", "raw.csv": "--raw-out", "oracle.json": "--out"}
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_seeded_output_is_unchanged(case, tmp_path):
+def test_seeded_output_is_unchanged(case, tmp_path, monkeypatch):
     argv, expected = CASES[case]
+    monkeypatch.chdir(tmp_path)  # the oracle report echoes its input path
+    if argv[0] == "oracle":
+        assert main(SBM_14) == 0
     for name in expected:
         argv = argv + [FLAGS[name], str(tmp_path / name)]
     assert main(argv) == 0

@@ -115,7 +115,7 @@ class TestMembership:
     def test_mean_membership_matches_group_size_mean(self):
         g, _ = generate_sbm(GeneratorSpec(n=10, sizes=(5, 5),
                                           p=BlockProbs(0.8, 0.2, 0.6), seed=4))
-        h = Hyperparameters.uniform(10)
+        h = Hyperparameters.uniform()
         s = run_chain(g, h, ChainConfig(total_samples=2000, burn_in=500, seed=4))
         probs = membership_probabilities(s)
         sizes = group_size_posterior(s)
@@ -132,7 +132,7 @@ class TestCoassignment:
     def test_matches_recount_from_stored_labels(self, run_recording_labels):
         g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
                                           p=BlockProbs(0.9, 0.1, 0.7), seed=2))
-        h = Hyperparameters.uniform(6)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=1200, burn_in=200, seed=6, coassign=True)
         s, c = run_recording_labels(g, h, cfg)
         mat = coassignment_matrix(s)
@@ -154,14 +154,14 @@ class TestGroupSizePosterior:
     def test_mass_sums_to_one(self):
         g, _ = generate_sbm(GeneratorSpec(n=8, sizes=(4, 4),
                                           p=BlockProbs(0.7, 0.3, 0.5), seed=3))
-        h = Hyperparameters.uniform(8)
+        h = Hyperparameters.uniform()
         s = run_chain(g, h, ChainConfig(total_samples=900, burn_in=100, seed=3))
         assert group_size_posterior(s).sum() == pytest.approx(1.0)
 
     def test_mean_matches_recount_from_stored_labels(self, run_recording_labels):
         g, _ = generate_sbm(GeneratorSpec(n=7, sizes=(3, 4),
                                           p=BlockProbs(0.8, 0.2, 0.5), seed=9))
-        h = Hyperparameters.uniform(7)
+        h = Hyperparameters.uniform()
         s, c = run_recording_labels(g, h, ChainConfig(total_samples=700,
                                                       burn_in=100, seed=9))
         hist = group_size_posterior(s)
@@ -182,7 +182,7 @@ class TestDensitySummary:
     def test_identifiability_exceedance(self):
         g, _ = generate_sbm(GeneratorSpec(n=9, sizes=(4, 5),
                                           p=BlockProbs(0.8, 0.4, 0.2), seed=5))
-        h = Hyperparameters.uniform(9)
+        h = Hyperparameters.uniform()
         s = run_chain(g, h, ChainConfig(total_samples=2000, burn_in=400, seed=5))
         d = density_summary(s)
         assert d["exceedance"]["p11_gt_p22"] == 1.0
@@ -315,35 +315,36 @@ def test_cdf_families_match_betainc(a0, b0, points):
                                seed=8))[0],
 ], ids=["empty-5", "isolated-nodes-7", "sbm-8", "sbm-15"])
 def test_labelling_counts_match_block_counts(g):
-    h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
-                        pi=np.linspace(0.1, 0.9, g.n))
-    n1, M11, M22, log_prior = _labelling_counts(g, h)
-    assert len(n1) == len(M11) == len(M22) == len(log_prior) == 2 ** g.n
+    """Each labelling's key (n1, M11, M22) matches its block counts, and its
+    label prior is the oracle's per-key term n1 * log_odds plus a constant."""
+    h = Hyperparameters.uniform(pi=0.3)
+    n1, M11, M22 = _labelling_counts(g)
+    assert len(n1) == len(M11) == len(M22) == 2 ** g.n
     for k in range(2 ** g.n):
         c = np.where((k >> np.arange(g.n)) & 1, 1, 2)
         counts = block_counts(g, c)
         assert (n1[k], M11[k], g.m - M11[k] - M22[k], M22[k]) == \
             (counts.n1, counts.M11, counts.M12, counts.M22)
-        assert log_prior[k] == pytest.approx(log_prior_labels(c, h), rel=1e-12)
+        assert n1[k] * h.log_odds + g.n * np.log1p(-h.pi) == \
+            pytest.approx(log_prior_labels(c, h), rel=1e-12)
 
 
 class TestExactStructurePosterior:
     def test_refuses_large_graphs(self):
         n = ENUMERATION_LIMIT + 2
         g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
-        h = Hyperparameters.uniform(n)
+        h = Hyperparameters.uniform()
         with pytest.raises(ValueError, match=f"n <= {ENUMERATION_LIMIT}"):
             exact_structure_posterior(g, h)
 
     @pytest.mark.parametrize("points", [3, 4, 257, 4097])
     @pytest.mark.parametrize("h", [
-        Hyperparameters.uniform(8),
-        Hyperparameters.uniform(8, pi=0.2),
-        Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
-                        pi=np.linspace(0.15, 0.85, 8)),
+        Hyperparameters.uniform(),
+        Hyperparameters.uniform(pi=0.2),
+        Hyperparameters.uniform(pi=0.7),
         Hyperparameters(a0_11=3, b0_11=1, a0_12=0.5, b0_12=2, a0_22=0.5,
-                        b0_22=2, pi=np.full(8, 0.5)),
-    ], ids=["pi-0.5", "pi-0.2", "pi-per-node", "asymmetric-shapes"])
+                        b0_22=2, pi=0.5),
+    ], ids=["pi-0.5", "pi-0.2", "pi-0.7", "asymmetric-shapes"])
     def test_matches_loop_oracle(self, h, points):
         g, _ = generate_sbm(GeneratorSpec(n=7, sizes=(3, 4),
                                           p=BlockProbs(0.7, 0.2, 0.5), seed=21))
@@ -359,11 +360,11 @@ class TestExactStructurePosterior:
     def test_impossible_verdict_raises(self, shapes, error):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
         with pytest.raises(error):
-            exact_structure_posterior(g, Hyperparameters.uniform(3, *shapes))
+            exact_structure_posterior(g, Hyperparameters.uniform(*shapes))
 
     def test_refuses_too_few_quadrature_points(self):
         g = Graph.from_edges([(0, 1)])
-        h = Hyperparameters.uniform(2)
+        h = Hyperparameters.uniform()
         for points in (0, 1, 2):
             with pytest.raises(ValueError, match="at least 3"):
                 exact_structure_posterior(g, h, quadrature_points=points)
@@ -373,7 +374,7 @@ class TestExactStructurePosterior:
         shapes and replacing pi by 1 - pi describes the same prior under
         swapped names, so the verdict must not change."""
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], n=6)
-        pi = np.array([0.2, 0.3, 0.5, 0.6, 0.8, 0.4])
+        pi = 0.3
         h = Hyperparameters(a0_11=3, b0_11=1, a0_12=1, b0_12=2,
                             a0_22=0.5, b0_22=2, pi=pi)
         swapped = Hyperparameters(a0_11=0.5, b0_11=2, a0_12=1, b0_12=2,
@@ -383,13 +384,13 @@ class TestExactStructurePosterior:
         assert v.as_tuple() == pytest.approx(
             exact_structure_posterior(g, swapped, quadrature_points=257).as_tuple(),
             abs=1e-10)
-        flat = exact_structure_posterior(g, Hyperparameters.uniform(6),
+        flat = exact_structure_posterior(g, Hyperparameters.uniform(),
                                          quadrature_points=257)
         assert abs(v.p_assortative - flat.p_assortative) > 0.01
 
     def test_triangle_probabilities_sum_to_one(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-        h = Hyperparameters.uniform(3)
+        h = Hyperparameters.uniform()
         v = exact_structure_posterior(g, h)
         assert v.p_assortative + v.p_core_periphery + v.p_disassortative == \
             pytest.approx(1.0, abs=1e-8)
@@ -405,7 +406,7 @@ class TestExactStructurePosterior:
         generative posterior (agreement within Monte Carlo error).
         """
         g = Graph.from_edges([], n=4)
-        h = Hyperparameters.uniform(4)
+        h = Hyperparameters.uniform()
         v = exact_structure_posterior(g, h)
         assert v.p_assortative == pytest.approx(0.387427, abs=1e-4)
         assert v.p_core_periphery == pytest.approx(0.383041, abs=1e-4)
@@ -414,13 +415,12 @@ class TestExactStructurePosterior:
             pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("h", [
-        Hyperparameters.uniform(7),
-        Hyperparameters.uniform(7, pi=0.2),
-        Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
-                        pi=np.linspace(0.15, 0.85, 7)),
+        Hyperparameters.uniform(),
+        Hyperparameters.uniform(pi=0.2),
+        Hyperparameters.uniform(pi=0.7),
         Hyperparameters(a0_11=3, b0_11=1, a0_12=1, b0_12=2, a0_22=0.5, b0_22=2,
-                        pi=np.full(7, 0.5)),
-    ], ids=["pi-0.5", "pi-0.2", "pi-per-node", "asymmetric-shapes"])
+                        pi=0.5),
+    ], ids=["pi-0.5", "pi-0.2", "pi-0.7", "asymmetric-shapes"])
     def test_matches_mcmc_on_random_graph(self, h):
         g, _ = generate_sbm(GeneratorSpec(n=7, sizes=(3, 4),
                                           p=BlockProbs(0.7, 0.2, 0.5), seed=21))
@@ -438,7 +438,7 @@ class TestExactStructurePosterior:
         (0.58, 0.30, 0.12) at pi 0.2, so the chain must move between modes."""
         g, _ = generate_sbm(GeneratorSpec(n=16, sizes=(7, 9),
                                           p=BlockProbs(0.7, 0.4, 0.2), seed=21))
-        h = Hyperparameters.uniform(16, pi=pi)
+        h = Hyperparameters.uniform(pi=pi)
         exact = exact_structure_posterior(g, h)
         s = run_chain(g, h, ChainConfig(total_samples=30000, burn_in=3000,
                                         seed=21))
@@ -450,7 +450,7 @@ class TestExactStructurePosterior:
     def test_membership_matches_exact_oracle(self):
         g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
                                           p=BlockProbs(0.85, 0.25, 0.55), seed=31))
-        h = Hyperparameters.uniform(6)
+        h = Hyperparameters.uniform()
         expected = exact_membership_oracle(g, h)
         s = run_chain(g, h, ChainConfig(total_samples=60000, burn_in=5000,
                                         seed=31))

@@ -193,14 +193,14 @@ def log_target(g, c, p, h):
 class TestLogLikelihoodDelta:
     def test_two_nodes_no_edges(self):
         g = Graph.from_edges([], n=2)
-        h = Hyperparameters.uniform(2)
+        h = Hyperparameters.uniform()
         for p in (BlockProbs(0.3, 0.6, 0.2), BlockProbs(0.6, 0.3, 0.2)):
             assert_flip_delta_both_ways(g, labels(1, 2), p, h, 1,
                                         math.log1p(-p.p11) - math.log1p(-p.p12))
 
     def test_uniform_p_gives_zero_delta(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        h = Hyperparameters.uniform(4)
+        h = Hyperparameters.uniform()
         c = labels(1, 2, 1, 2)
         for i in range(4):
             assert_flip_delta_both_ways(g, c, BlockProbs(0.5, 0.5, 0.5), h, i, 0.0)
@@ -218,7 +218,7 @@ class TestLogLikelihoodDelta:
             g, c = generate_sbm(GeneratorSpec(n=12, sizes=(n1, 12 - n1), p=p,
                                               seed=seed))
             h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1,
-                                b0_22=1, pi=rng.uniform(0.05, 0.95, size=12))
+                                b0_22=1, pi=float(rng.uniform(0.05, 0.95)))
             i = int(rng.integers(0, 12))
             flipped = c.copy()
             flipped[i] = 3 - flipped[i]
@@ -229,20 +229,20 @@ class TestLogLikelihoodDelta:
 
 class TestLogPriorLabels:
     def test_flat_prior(self):
-        h = Hyperparameters.uniform(4)
+        h = Hyperparameters.uniform()
         assert log_prior_labels(labels(1, 2, 2, 1), h) == pytest.approx(
             -4 * math.log(2)
         )
 
     def test_direct_substitution(self):
         h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
-                            pi=np.array([0.9, 0.1]))
-        assert log_prior_labels(labels(1, 2), h) == pytest.approx(
-            math.log(0.9) + math.log(0.9)
+                            pi=0.9)
+        assert log_prior_labels(labels(1, 2, 1), h) == pytest.approx(
+            math.log(0.9) + math.log(0.1) + math.log(0.9)
         )
 
     def test_flip_invariance_at_half(self):
-        h = Hyperparameters.uniform(5)
+        h = Hyperparameters.uniform()
         c = labels(1, 1, 2, 1, 2)
         flipped = 3 - c
         assert log_prior_labels(c, h) == pytest.approx(log_prior_labels(flipped, h))
@@ -269,17 +269,17 @@ def quadrature_marginal(counts, h):
 class TestLogMarginalLikelihood:
     def test_all_zero_counts(self):
         counts = BlockCounts(M11=0, M12=0, M22=0, m11=0, m12=0, m22=0, n1=1, n2=0)
-        h = Hyperparameters.uniform(1)
+        h = Hyperparameters.uniform()
         assert log_marginal_likelihood(counts, h) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_pair_single_edge(self):
         counts = BlockCounts(M11=1, M12=0, M22=0, m11=1, m12=0, m22=0, n1=2, n2=0)
-        h = Hyperparameters.uniform(2)
+        h = Hyperparameters.uniform()
         assert log_marginal_likelihood(counts, h) == pytest.approx(math.log(0.5))
 
     def test_uniform_prior_closed_form(self):
         counts = BlockCounts(M11=2, M12=3, M22=1, m11=3, m12=8, m22=3, n1=3, n2=4)
-        h = Hyperparameters.uniform(7)
+        h = Hyperparameters.uniform()
         expected = sum(
             math.log(
                 math.factorial(M) * math.factorial(m - M) / math.factorial(m + 1)
@@ -300,7 +300,7 @@ class TestLogMarginalLikelihood:
                 m11=m11, m12=m12, m22=m22, n1=n1, n2=n2,
             )
             a0, b0 = rng.uniform(0.5, 3.0, size=2)
-            h = Hyperparameters.uniform(n1 + n2, a0=float(a0), b0=float(b0))
+            h = Hyperparameters.uniform(a0=float(a0), b0=float(b0))
             assert log_marginal_likelihood(counts, h) == pytest.approx(
                 quadrature_marginal(counts, h), abs=1e-6
             )
@@ -310,18 +310,19 @@ class TestHyperparameters:
     def test_rejects_nonpositive_shapes(self):
         for a0 in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                Hyperparameters.uniform(3, a0=a0)
+                Hyperparameters.uniform(a0=a0)
 
     def test_rejects_degenerate_pi(self):
-        for bad in (0.0, 1.0, math.nan):
+        """pi is one number in (0, 1): an array, even of one valid value, is
+        refused too."""
+        for bad in (0.0, 1.0, math.nan, np.array([0.5, 0.3]), np.array([0.5]), [0.5]):
             with pytest.raises(ValueError, match="strictly"):
-                Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1,
-                                a0_22=1, b0_22=1, pi=np.array([0.5, bad]))
+                Hyperparameters.uniform(pi=bad)
 
     def test_swap_symmetry_and_log_odds(self):
         def prior(pi=0.5, **shapes):
             kw = dict(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
-                      a0_22=1.0, b0_22=1.0, pi=np.full(3, pi))
+                      a0_22=1.0, b0_22=1.0, pi=pi)
             kw.update(shapes)
             return Hyperparameters(**kw)
 
@@ -331,18 +332,16 @@ class TestHyperparameters:
         assert not prior(pi=0.2).swap_symmetric
         assert not prior(a0_11=2.0).swap_symmetric
         assert not prior(b0_22=2.0).swap_symmetric
-        h = Hyperparameters(a0_11=1, b0_11=1, a0_12=1, b0_12=1, a0_22=1, b0_22=1,
-                            pi=np.array([0.5, 0.5, 0.7]))
-        assert prior(a0_11=2.0).even_odds and not prior(pi=0.2).even_odds
-        assert not h.swap_symmetric and not h.even_odds
-        assert h.log_odds.tolist() == [0.0, 0.0, math.log(0.7) - math.log1p(-0.7)]
+        assert not prior(pi=0.7).swap_symmetric
+        assert prior(a0_11=2.0).log_odds == 0.0
+        assert prior(pi=0.7).log_odds == math.log(0.7) - math.log1p(-0.7)
 
 
 SHAPES = dict(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0, a0_22=1.0, b0_22=1.0)
 VALID = {
     # one retained draw more than the co-assignment tally counts exactly
     ChainConfig: dict(total_samples=2**23 + 11, burn_in=10),
-    Hyperparameters: dict(SHAPES, pi=np.full(3, 0.5)),
+    Hyperparameters: dict(SHAPES, pi=0.5),
     GeneratorSpec: dict(n=10, sizes=(4, 6), p=BlockProbs(0.1, 0.2, 0.3)),
     SweepSpec: dict(n=10, sizes=(4, 6), p11=0.2, p22=0.1, p12_grid=(0.1,),
                     replicates=2, chain=ChainConfig(total_samples=100, burn_in=10)),
@@ -350,7 +349,7 @@ VALID = {
 # one out-of-range value per field that a CLI option sets
 BAD = {
     ChainConfig: dict(total_samples=0, burn_in=-1, thin=0, chains=0, coassign=True),
-    Hyperparameters: dict({name: 0.0 for name in SHAPES}, pi=np.array([0.5, 1.0])),
+    Hyperparameters: dict({name: 0.0 for name in SHAPES}, pi=1.0),
     GeneratorSpec: dict(n=0, sizes=(4, 7), p=BlockProbs(0.1, 1.5, 0.3)),
     SweepSpec: dict(n=0, p11=math.nan, p22=-0.1, p12_grid=(0.1, 2.0), replicates=0),
 }

@@ -59,27 +59,27 @@ def path_graph(n):
 class TestInitChain:
     def test_deterministic_for_same_seed_and_chain(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=10, burn_in=0, seed=42)
-        a = init_chain(g, h, cfg, chain_index=3)
-        b = init_chain(g, h, cfg, chain_index=3)
+        a = init_chain(g, h, cfg, chain_rng(42, 3))
+        b = init_chain(g, h, cfg, chain_rng(42, 3))
         assert np.array_equal(a.c, b.c)
         assert a.p == b.p
         assert a.counts == b.counts
 
     def test_different_chains_differ(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=10, burn_in=0, seed=42)
-        a = init_chain(g, h, cfg, chain_index=0)
-        b = init_chain(g, h, cfg, chain_index=1)
+        a = init_chain(g, h, cfg, chain_rng(42, 0))
+        b = init_chain(g, h, cfg, chain_rng(42, 1))
         assert a.p != b.p
 
     def test_degree_split_puts_hubs_in_group_one(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=10, burn_in=0, seed=0, init="degree_split")
-        state = init_chain(g, h, cfg)
+        state = init_chain(g, h, cfg, chain_rng(0, 0))
         degrees = np.array([len(adj) for adj in g.adjacency])
         median = np.median(degrees)
         assert np.all(state.c[degrees > median] == 1)
@@ -89,15 +89,16 @@ class TestInitChain:
 
     def test_degree_split_tie_rule_two_node_path(self):
         g = path_graph(2)
-        h = Hyperparameters.uniform(2)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=10, burn_in=0, init="degree_split")
-        state = init_chain(g, h, cfg)
+        state = init_chain(g, h, cfg, chain_rng(0, 0))
         assert np.array_equal(state.c, np.array([1, 1]))
 
     def test_cached_fields_consistent(self):
         g = path_graph(6)
-        h = Hyperparameters.uniform(6)
-        state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=9))
+        h = Hyperparameters.uniform()
+        state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=9),
+                           chain_rng(9, 0))
         assert_consistent(state, g)
 
 
@@ -128,7 +129,7 @@ def test_logs_are_taken_at_the_clamped_q(q):
 class TestLabelSweep:
     def test_flat_target_accepts_everything(self):
         g = path_graph(8)
-        h = Hyperparameters.uniform(8)
+        h = Hyperparameters.uniform()
         rng = chain_rng(1, 0)
         state = make_state(g, np.array([1, 2] * 4), BlockProbs(0.5, 0.5, 0.5))
         _, accepted = label_sweep(state, g, h, sweep_draws(rng, g))
@@ -136,10 +137,10 @@ class TestLabelSweep:
 
     def test_counts_stay_consistent_over_many_sweeps(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         rng = chain_rng(5, 0)
         state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=5),
-                           rng=rng)
+                           rng)
         sweeps = sweep_draws(rng, g)
         for _ in range(60):
             label_sweep(state, g, h, sweeps)
@@ -153,7 +154,7 @@ class TestLabelSweep:
         the groups costs about 744 and is rejected: the two components stay
         apart while the isolated nodes 5 and 6 move."""
         g = Graph.from_edges([(0, 1), (1, 2), (3, 4)], n=7)
-        h = Hyperparameters.uniform(7)
+        h = Hyperparameters.uniform()
         rng = chain_rng(4, 0)
         state = make_state(g, np.array([1, 1, 1, 2, 2, 1, 2]),
                            BlockProbs(0.6, 0.0, 0.3))
@@ -177,21 +178,16 @@ class TestLabelSweep:
         (Graph.from_edges([(0, 1), (1, 2), (3, 4)], n=7),
          BlockProbs(0.6, 0.0, 0.3), False, None),
         (load_dataset("karate"), BlockProbs(1.0, 0.0, 0.2), False, None),
-        # swap-symmetric prior: every log-odds is 0 and the exchange is skipped
+        # swap-symmetric prior: the log-odds is 0 and the exchange is skipped
+        (load_dataset("karate"), None, True, Hyperparameters.uniform(pi=0.5)),
+        # positive log-odds, where the default pi of 0.4 gives a negative one
+        (load_dataset("dolphins"), None, True, Hyperparameters.uniform(pi=0.7)),
         (load_dataset("karate"), None, True,
-         lambda n: Hyperparameters.uniform(n, pi=0.5)),
-        # per-node pi: each node's log-odds must follow it into visiting order
+         Hyperparameters(a0_11=2.0, b0_11=0.7, a0_12=1.0, b0_12=3.0,
+                         a0_22=0.5, b0_22=1.5, pi=0.85)),
         (load_dataset("dolphins"), None, True,
-         lambda n: Hyperparameters(a0_11=1.0, b0_11=1.0, a0_12=1.0, b0_12=1.0,
-                                   a0_22=1.0, b0_22=1.0,
-                                   pi=np.linspace(0.15, 0.85, n))),
-        (load_dataset("karate"), None, True,
-         lambda n: Hyperparameters(a0_11=2.0, b0_11=0.7, a0_12=1.0, b0_12=3.0,
-                                   a0_22=0.5, b0_22=1.5,
-                                   pi=np.linspace(0.85, 0.15, n))),
-        (load_dataset("dolphins"), None, True,
-         lambda n: Hyperparameters(a0_11=3.0, b0_11=1.0, a0_12=0.4, b0_12=2.0,
-                                   a0_22=1.0, b0_22=0.5, pi=np.full(n, 0.3))),
+         Hyperparameters(a0_11=3.0, b0_11=1.0, a0_12=0.4, b0_12=2.0,
+                         a0_22=1.0, b0_22=0.5, pi=0.3)),
         # unstructured and dense: about half the flips are accepted, and each
         # updates about 30 neighbour counts
         (Graph.from_edges(generate_sbm(GeneratorSpec(
@@ -199,15 +195,15 @@ class TestLabelSweep:
         )[0].edges(), n=60), None, True, None),
     ], ids=["karate", "dolphins", "sbm-200-isolated", "single-node",
             "p12-zero", "karate-p-at-0-and-1", "karate-flat-half",
-            "dolphins-per-node-pi", "karate-asymmetric-per-node-pi",
+            "dolphins-pi-0.7", "karate-asymmetric-pi-0.85",
             "dolphins-asymmetric", "dense-60"])
     def test_matches_adjacency_loop_state_for_state(self, g, p, update_p, prior):
-        h = (prior or (lambda n: Hyperparameters.uniform(n, pi=0.4)))(g.n)
+        h = prior or Hyperparameters.uniform(pi=0.4)
         states, rngs, sweeps = [], [], []
         for _ in range(2):
             rng = chain_rng(11, 0)
             state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0,
-                                                 seed=11), rng=rng)
+                                                 seed=11), rng)
             if p is not None:
                 state.p = p
             states.append(state)
@@ -231,7 +227,7 @@ class TestLabelSweep:
 
     def test_single_free_node_visits_both_groups_evenly(self):
         g = Graph.from_edges([], n=1)
-        h = Hyperparameters.uniform(1)
+        h = Hyperparameters.uniform()
         rng = chain_rng(3, 0)
         state = make_state(g, np.array([1]), BlockProbs(0.4, 0.3, 0.2))
         tally = 0
@@ -246,7 +242,7 @@ class TestLabelSweep:
 
     def test_flat_target_per_node_frequency_half(self):
         g = path_graph(5)
-        h = Hyperparameters.uniform(5)
+        h = Hyperparameters.uniform()
         rng = chain_rng(17, 0)
         q = 0.37
         state = make_state(g, np.array([1, 1, 2, 2, 1]), BlockProbs(q, q, q))
@@ -266,7 +262,7 @@ class TestLabelSweep:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [pq for pq in pairs if rng_g.random() < 0.45]
         g = Graph.from_edges(edges, n=n)
-        h = Hyperparameters.uniform(n)
+        h = Hyperparameters.uniform()
         p = BlockProbs(0.72, 0.35, 0.15)
 
         log_target = np.empty(2 ** n)
@@ -330,7 +326,7 @@ class TestSweepDraws:
 class TestGibbsUpdate:
     def test_empty_block_reproduces_prior(self):
         g = Graph.from_edges([], n=4)
-        h = Hyperparameters.uniform(4)
+        h = Hyperparameters.uniform()
         rng = chain_rng(8, 0)
         c = np.array([1, 1, 1, 1])  # block 2 and cross pairs empty
         draws = []
@@ -345,7 +341,7 @@ class TestGibbsUpdate:
 
     def test_complete_block_conjugate_update(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2)], n=3)
-        h = Hyperparameters.uniform(3)
+        h = Hyperparameters.uniform()
         rng = chain_rng(9, 0)
         state = make_state(g, np.array([1, 1, 1]), BlockProbs(0.5, 0.5, 0.5))
         m11 = 3
@@ -360,7 +356,7 @@ class TestGibbsUpdate:
 
     def test_frozen_labels_on_karate_match_beta_moments(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         rng = chain_rng(10, 0)
         c = np.where(np.arange(g.n) % 2 == 0, 1, 2)
         counts = block_counts(g, c)
@@ -397,8 +393,7 @@ class TestExchangeGroups:
     G = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], n=6)
     C = np.array([1, 1, 1, 2, 2, 1])
     H = Hyperparameters(a0_11=3.0, b0_11=1.0, a0_12=1.0, b0_12=2.0,
-                        a0_22=0.5, b0_22=2.0,
-                        pi=np.array([0.2, 0.3, 0.5, 0.6, 0.8, 0.4]))
+                        a0_22=0.5, b0_22=2.0, pi=0.3)
 
     @staticmethod
     def log_prior(c, p, h):
@@ -447,7 +442,7 @@ class TestExchangeGroups:
     def test_ratio_beyond_float_range_is_taken(self):
         """exp of a log ratio above 709 overflows; the move is taken."""
         g, c = path_graph(6), np.array([1, 1, 1, 1, 1, 2])
-        h = Hyperparameters.uniform(6, pi=1e-300)  # log ratio 4 * 690.8
+        h = Hyperparameters.uniform(pi=1e-300)  # log ratio 4 * 690.8
         state = make_state(g, c.copy(), BlockProbs(0.2, 0.5, 0.7))
         rng = StubRng(1 - 1e-12)
         exchange_groups(state, g, h, rng)
@@ -456,10 +451,12 @@ class TestExchangeGroups:
         assert_consistent(state, g)
 
     @pytest.mark.parametrize("h,c", [
-        (Hyperparameters.uniform(5, a0=2.0, b0=0.5), [1, 2, 2, 1, 2]),
+        (Hyperparameters.uniform(a0=2.0, b0=0.5), [1, 2, 2, 1, 2]),
         # flat pi away from 1/2 and equal group sizes: the label terms cancel
-        (Hyperparameters.uniform(4, pi=0.3), [1, 2, 2, 1]),
-    ], ids=["symmetric-prior", "flat-pi-equal-groups"])
+        (Hyperparameters.uniform(pi=0.3), [1, 2, 2, 1]),
+        # 34 nodes, where a label term summed node by node rounds to -3.55e-15
+        (Hyperparameters.uniform(pi=0.3), [1] * 17 + [2] * 17),
+    ], ids=["symmetric-prior", "flat-pi-equal-groups", "flat-pi-34-nodes"])
     def test_ratio_of_one_neither_moves_nor_draws(self, h, c):
         c = np.array(c)
         g, p = path_graph(len(c)), BlockProbs(0.2, 0.5, 0.7)
@@ -501,7 +498,7 @@ class TestRunChain:
         every sweep of each, so the errstate covers every next() that draws
         a block and every sweep that reads one."""
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         k = sampler.SWEEP_BLOCK // g.n  # sweeps per block
         rngs, flips = [], []
 
@@ -531,7 +528,7 @@ class TestRunChain:
 
     def test_retained_counts(self):
         g = path_graph(5)
-        h = Hyperparameters.uniform(5)
+        h = Hyperparameters.uniform()
         s = run_chain(g, h, ChainConfig(total_samples=1500, burn_in=500, seed=1))
         assert s.retained == 1000
         assert s.draws.shape == (1000, 3)
@@ -541,7 +538,7 @@ class TestRunChain:
 
     def test_deterministic_given_config(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=400, burn_in=100, seed=123, chains=2,
                           coassign=True)
         a = run_chain(g, h, cfg)
@@ -554,13 +551,13 @@ class TestRunChain:
 
     def test_every_retained_draw_is_identifiable(self):
         g = path_graph(6)
-        h = Hyperparameters.uniform(6)
+        h = Hyperparameters.uniform()
         s = run_chain(g, h, ChainConfig(total_samples=3000, burn_in=200, seed=7))
         assert np.all(s.draws[:, 0] >= s.draws[:, 2])
 
     def test_tallies_bounded_by_retained(self):
         g = path_graph(6)
-        h = Hyperparameters.uniform(6)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=800, burn_in=100, seed=3, coassign=True)
         s = run_chain(g, h, cfg)
         assert np.all(s.label_tally >= 0) and np.all(s.label_tally <= s.retained)
@@ -570,7 +567,7 @@ class TestRunChain:
 
     def test_pooled_chains_concatenate_in_order(self):
         g = path_graph(6)
-        h = Hyperparameters.uniform(6)
+        h = Hyperparameters.uniform()
         pooled = run_chain(g, h, ChainConfig(total_samples=300, burn_in=50,
                                              seed=11, chains=3))
         assert pooled.chain_sizes == (250, 250, 250)
@@ -601,7 +598,7 @@ class TestRunChain:
 
 
 def karate_prior(a, b, pi):
-    """Shapes (a11, a12, a22) and (b11, b12, b22) with per-node pi on karate."""
+    """Shapes (a11, a12, a22) and (b11, b12, b22) with prior pi of group 1."""
     return Hyperparameters(a0_11=a[0], b0_11=b[0], a0_12=a[1], b0_12=b[1],
                            a0_22=a[2], b0_22=b[2], pi=pi)
 
@@ -611,23 +608,22 @@ class TestMatchesNumpyStateReference:
     a numpy array, the reference adjacency-loop sweep, an exchange that always
     computes its ratio, and every draw tallied on its own."""
 
-    K = 34  # karate's node count
     CASES = {
-        "pi-0.5": (Hyperparameters.uniform(K), dict(
+        "pi-0.5": (Hyperparameters.uniform(), dict(
             total_samples=300, burn_in=100, seed=1)),
-        "pi-0.2": (Hyperparameters.uniform(K, a0=0.3, pi=0.2), dict(
+        "pi-0.2": (Hyperparameters.uniform(a0=0.3, pi=0.2), dict(
             total_samples=300, burn_in=100, seed=2, chains=2)),
-        "asymmetric-per-node-pi": (karate_prior(
-            (3.0, 1.0, 0.5), (1.0, 2.0, 2.0), np.linspace(0.15, 0.85, K)),
+        "asymmetric-pi-0.7": (karate_prior(
+            (3.0, 1.0, 0.5), (1.0, 2.0, 2.0), 0.7),
             dict(total_samples=400, burn_in=100, seed=3, thin=3, chains=2)),
-        "thin-3-three-chains-degree": (Hyperparameters.uniform(K), dict(
+        "thin-3-three-chains-degree": (Hyperparameters.uniform(), dict(
             total_samples=250, burn_in=50, seed=4, thin=3, chains=3,
             init="degree_split")),
-        "retained-31": (Hyperparameters.uniform(K, pi=0.3), dict(
+        "retained-31": (Hyperparameters.uniform(pi=0.3), dict(
             total_samples=41, burn_in=10, seed=5)),
-        "retained-32": (Hyperparameters.uniform(K), dict(
+        "retained-32": (Hyperparameters.uniform(), dict(
             total_samples=42, burn_in=10, seed=6)),
-        "retained-33": (Hyperparameters.uniform(K, pi=0.3), dict(
+        "retained-33": (Hyperparameters.uniform(pi=0.3), dict(
             total_samples=43, burn_in=10, seed=7)),
     }
 
@@ -658,7 +654,7 @@ class TestCoassignTally:
                                                 chains, retained,
                                                 run_recording_labels):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         s, c = run_recording_labels(g, h, ChainConfig(
             total_samples=total, burn_in=burn_in, thin=thin, chains=chains,
             seed=8, coassign=True))
@@ -672,7 +668,7 @@ class TestCoassignTally:
         the reference's int64 count draw by draw."""
         g, _ = generate_sbm(GeneratorSpec(n=23, sizes=(10, 13),
                                           p=BlockProbs(0.5, 0.1, 0.4), seed=9))
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=60, burn_in=10, chains=2, seed=9,
                           coassign=True)
         monkeypatch.setattr(sampler, "TALLY_BLOCK", 3)
@@ -690,7 +686,7 @@ class TestCoassignTally:
         n = 1000
         g, _ = generate_sbm(GeneratorSpec(n=n, sizes=(400, 600),
                                           p=BlockProbs(0.02, 0.005, 0.01), seed=3))
-        h = Hyperparameters.uniform(n)
+        h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=60, burn_in=10, seed=3, coassign=True)
         import scipy.linalg.blas  # noqa: F401  loaded before tracing: no import in the peak
         tracemalloc.start()
@@ -704,7 +700,7 @@ class TestCoassignTally:
 
     def test_leaves_other_outputs_unchanged(self):
         g = load_dataset("karate")
-        h = Hyperparameters.uniform(g.n)
+        h = Hyperparameters.uniform()
         kw = dict(total_samples=300, burn_in=50, thin=2, chains=2, seed=21)
         with_tally = run_chain(g, h, ChainConfig(coassign=True, **kw))
         without = run_chain(g, h, ChainConfig(**kw))
@@ -716,7 +712,7 @@ class TestCoassignTally:
 
     def test_refused_before_the_chain_when_memory_is_short(self, monkeypatch):
         g = path_graph(10)
-        h = Hyperparameters.uniform(10)
+        h = Hyperparameters.uniform()
         monkeypatch.setattr(sampler, "physical_memory", lambda: 4 * 10 * 10 - 1)
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
         with pytest.raises(ValueError, match="needs 400 bytes"):
@@ -725,7 +721,7 @@ class TestCoassignTally:
 
     def test_guard_skipped_when_memory_is_unknown(self, monkeypatch):
         g = path_graph(10)
-        h = Hyperparameters.uniform(10)
+        h = Hyperparameters.uniform()
         monkeypatch.setattr(sampler, "physical_memory", lambda: None)
         s = run_chain(g, h, ChainConfig(total_samples=20, burn_in=0,
                                         coassign=True))
@@ -734,7 +730,7 @@ class TestCoassignTally:
 
 def test_parse_and_run_end_to_end():
     g = parse_edge_list("a b\nb c\nc a\nd e\ne f\nf d\na d")
-    h = Hyperparameters.uniform(g.n)
+    h = Hyperparameters.uniform()
     s = run_chain(g, h, ChainConfig(total_samples=500, burn_in=100, seed=2))
     assert s.retained == 400
     assert np.isfinite(s.draws).all()
