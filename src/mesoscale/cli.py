@@ -124,9 +124,16 @@ def _load_graph(args) -> tuple[Graph, str]:
     node_list = None
     if args.nodes:
         try:
-            node_list = Path(args.nodes).read_text(encoding="utf-8").split()
+            lines = Path(args.nodes).read_text(encoding="utf-8").splitlines()
         except OSError as exc:
             raise GraphParseError(f"cannot read {args.nodes}: {exc}") from exc
+        node_list = []
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if len(tokens) > 1:
+                raise GraphParseError(f"{args.nodes} line {lineno}: expected one "
+                                      f"node name, got {len(tokens)}")
+            node_list += tokens
     return parse_edge_list(text, node_list=node_list), args.path
 
 
@@ -258,13 +265,14 @@ def cmd_oracle(args) -> int:
     h = _hyper_from_args(args)
     require_quadrature(args.quad_points)
     g, source = _load_graph(args)
-    verdict = exact_structure_posterior(g, h, quadrature_points=args.quad_points)
+    verdict, error = exact_structure_posterior(g, h, quadrature_points=args.quad_points)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "input": {"source": source, "n": g.n, "m": g.m},
         "config": {"hyperparameters": report_mod._hyper_dict(h)},
         "verdict": asdict(verdict),
         "quadrature_points": args.quad_points,
+        "quadrature_error": error,
     }
     _write_out(report_mod.report_json(payload), args.out)
     return EXIT_OK
@@ -331,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_prior_args(p)
     p.add_argument("--quad-points", type=int, default=4097,
-                   help="evenly spaced points of [0, 1] at which p12's density "
-                        "is integrated by Simpson's rule against the CDFs of "
-                        "p11 and p22 (at least 3)")
+                   help="grid points of [0, 1], graded toward both ends, on "
+                        "which the Beta CDFs of p11, p12 and p22 are "
+                        "integrated (at least 3)")
     p.add_argument("--out", help="write the verdict here instead of stdout")
     p.set_defaults(func=cmd_oracle)
 

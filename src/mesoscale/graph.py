@@ -114,8 +114,8 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
     whitespace-separated node tokens. Duplicate edge lines (either
     orientation) are collapsed by Graph.from_edges and counted in the
     diagnostics as the edge lines beyond the graph's m. ``node_list``
-    pre-registers node names in order, which is the only way to introduce
-    isolated nodes.
+    pre-registers distinct node names in order, which is the only way to
+    introduce isolated nodes; a repeated name is refused.
     """
     ids: dict[str, int] = {}
     names: list[str] = []
@@ -129,6 +129,8 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
         return i
 
     for name in node_list or ():
+        if name in ids:
+            raise GraphParseError(f"node list repeats the name {name!r}")
         intern(name)
     edges = []
     comments = 0

@@ -5,8 +5,8 @@ against min/max of p11 and p22), so verdicts do not depend on their names.
 Label summaries call the group with p11 >= p22 in each draw "group 1".
 Ties on the category boundaries go to core-periphery, making the three
 categories a partition of the draw space. scipy.special is imported only
-inside the exact oracle's helpers (_CdfFamilies, _conditional_orderings), so
-the sampling commands start without scipy.
+inside _CdfFamilies, the exact oracle's one Beta CDF, so the sampling
+commands start without scipy.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .model import (
-    BlockCounts,
-    Hyperparameters,
-    log_marginal_likelihood,
-    posterior_shapes,
-)
+from .model import BlockCounts, Hyperparameters, log_marginal_likelihood
 from .sampler import PosteriorSamples, require_memory
 
 ENUMERATION_LIMIT = 18
@@ -29,6 +24,9 @@ ENUMERATION_LIMIT = 18
 # at (rows x 64) instead of (rows x quadrature points), so memory does not grow
 # with the grid
 GRID_CHUNK = 64
+# the largest quadrature error bound the oracle reports; past it a verdict is
+# too loose to check an MCMC verdict against
+QUADRATURE_TOLERANCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -145,77 +143,59 @@ def density_summary(samples: PosteriorSamples, bins: int = 50) -> dict:
     }
 
 
-def _simpson_weights(points: int) -> np.ndarray:
-    """w with w @ y == scipy's simpson(y, x=np.linspace(0, 1, points)).
-
-    Composite Simpson (1, 4, 2, ..., 4, 1) * h / 3 over the first odd number
-    of points. With an even number, the last interval takes scipy's
-    Cartwright correction (-1, 8, 5) * h / 12 on the last three points.
-    """
-    h = 1.0 / (points - 1)
-    odd = points if points % 2 else points - 1
-    w = np.zeros(points)
-    w[1:odd:2] = 4 * h / 3
-    w[2:odd - 1:2] = 2 * h / 3
-    w[[0, odd - 1]] = h / 3
-    if points % 2 == 0:
-        w[-3:] += np.array([-1.0, 8.0, 5.0]) * h / 12
-    return w
-
-
-def _exp_rows(p: np.ndarray, q: np.ndarray, c: np.ndarray, logx: np.ndarray,
-              log1mx: np.ndarray) -> np.ndarray:
-    """exp(p log x + q log(1 - x) - c), one row per entry of p, q and c and one
-    column per grid point, from the grid's shared logs; 0 log 0 is taken as 0."""
-    p, q = p[:, None], q[:, None]
-    e = np.zeros((len(p), len(logx)))
-    np.multiply(p, logx, out=e, where=p != 0)
-    e += np.multiply(q, log1mx, out=np.zeros_like(e), where=q != 0)
-    e -= c[:, None]
-    return np.exp(e, out=e)
-
-
 class _CdfFamilies:
     """Tables of the Beta CDF I_x(M + a0, m - M + b0) on grid chunks.
 
     That is the posterior CDF of p_ij for a block with prior (a0, b0), m
-    possible pairs and M edges. Family f is (a0[f], b0[f], m[f]) and takes
-    M = lo[f]..hi[f]. Each table calls betainc once per family, at M = hi[f],
-    then steps down by DLMF 8.17.20,
+    possible pairs and M edges. The constructor takes those four per block
+    (broadcast), and blocks that share (a0, b0, m) share a family, whose rows
+    run over their M from lo to hi; `rows` is each block's table row. Each
+    table calls betainc once per family, at M = hi, then steps down by DLMF
+    8.17.20,
         I_x(a, b) = I_x(a + 1, b - 1) + x^a (1 - x)^(b - 1) / (a B(a, b)),
     with (a, b) the shape of M and (a + 1, b - 1) that of M + 1. Each row adds
     one positive term to the row above it, so nothing cancels.
     """
 
-    def __init__(self, a0, b0, m, lo, hi):
+    def __init__(self, a0, b0, m, M):
         from scipy.special import betaln
 
-        a0, b0, m, lo, hi = np.broadcast_arrays(a0, b0, m, lo, hi)
-        self.hi = hi
+        blocks = np.broadcast_arrays(a0, b0, m, M)
+        # sorted by family, then by M (lexsort: np.unique(axis=0) is far slower)
+        order = np.lexsort(blocks[::-1])
+        a0, b0, m, M = (v[order] for v in blocks)
+        first = np.ones(len(M), dtype=bool)
+        first[1:] = (np.diff(a0) != 0) | (np.diff(b0) != 0) | (np.diff(m) != 0)
+        fam = np.empty(len(M), dtype=np.int64)
+        fam[order] = np.cumsum(first) - 1
+        lo, hi = M[first], M[np.roll(first, -1)]  # a family's first and last M
+        a0, b0, m = a0[first], b0[first], m[first]
+        self.families = len(hi)
         self.depth = int((hi - lo).max()) + 1
+        # row j * F + f (F families) is M = hi[f] - j of family f, so the
+        # running sum steps through j a block of F rows at a time
+        self.rows = (hi[fam] - blocks[3]) * self.families + fam
         self.top = ((hi + a0)[:, None], (m - hi + b0)[:, None])
-        # before the running sum, row j * F + f (F families) holds the term of
-        # M = hi[f] - j, so the sum steps through j a block of F rows at a time
-        f = np.repeat(np.arange(len(hi)), hi - lo)
+        f = np.repeat(np.arange(self.families), hi - lo)
         j = np.concatenate([np.arange(1, d + 1) for d in hi - lo])
-        self.term_rows = j * len(hi) + f
+        self.term_rows = j * self.families + f
         M = hi[f] - j
         a, b = M + a0[f], m[f] - M + b0[f]
-        self.term = (a, b - 1, np.log(a) + betaln(a, b))
-
-    def row(self, f, M):
-        """The table row of M in family f."""
-        return (self.hi[f] - M) * len(self.hi) + f
+        # both powers are positive: b - 1 >= b0 since M < hi <= m
+        self.term = (a[:, None], (b - 1)[:, None], (np.log(a) + betaln(a, b))[:, None])
 
     def table(self, x: np.ndarray, logx: np.ndarray,
               log1mx: np.ndarray) -> np.ndarray:
         """Every family's rows on the grid points x, with their logs."""
         from scipy.special import betainc
 
-        families = len(self.hi)
-        rows = np.zeros((self.depth * families, len(x)))
-        rows[:families] = betainc(*self.top, x)
-        rows[self.term_rows] = _exp_rows(*self.term, logx, log1mx)
+        rows = np.zeros((self.depth * self.families, len(x)))
+        rows[:self.families] = betainc(*self.top, x)
+        a, b1, c = self.term
+        e = a * logx
+        e += b1 * log1mx
+        e -= c
+        rows[self.term_rows] = np.exp(e, out=e)
         steps = rows.reshape(self.depth, -1)
         for j in range(1, self.depth):  # row by row: cumsum along an axis is slower
             steps[j] += steps[j - 1]
@@ -242,59 +222,59 @@ def _labelling_counts(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _conditional_orderings(
     counts: BlockCounts, h: Hyperparameters, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """P(p12 < p11, p22) and P(p12 > p11, p22) for each set of counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(p12 < p11, p22), P(p12 > p11, p22) and an error bound for each set
+    of counts.
 
     Given the labels, p_ij ~ Beta(Mij + a0, mij - Mij + b0) independently, so
-    each is an integral over p12's density, here by Simpson on `points` grid
-    points. The CDFs of p11 and p22 come from one _CdfFamilies family per
-    (a0, b0, mij); blocks 11 and 22 share it when their priors match. p12's
-    density is evaluated once per distinct shape.
+    each probability is the Stieltjes integral of g dF12, with g = (1 - F11)
+    (1 - F22) or F11 F22 and Fij the CDF of p_ij. The grid is x = (1 -
+    cos(pi t)) / 2 on `points` evenly spaced t, fine near 0 and 1. Each cell
+    adds its rise of F12 times the mean of g at its two edges: the midpoint of
+    the left- and right-edge sums, which bracket the integral because g is
+    monotone. The two brackets are together sum dF12 (dF11 + dF22) wide, and
+    half of that bounds the error of either probability and of their sum. Per
+    chunk of cells the sum is at most the largest dF12 times the chunk's rise
+    of F11 + F22, which is the bound returned. All three CDFs come from
+    _CdfFamilies: blocks 11 and 22 share one table, p12 has its own.
     """
-    from scipy.special import betaln
-
-    # family key: (prior of block 11 or 22, mij)
-    prior = np.repeat([0, int(h.shapes[0] != h.shapes[2])], len(counts.M11))
-    M = np.concatenate([counts.M11, counts.M22])
-    keys, fam = np.unique(np.stack([prior, np.concatenate([counts.m11, counts.m22])],
-                                   axis=1), axis=0, return_inverse=True)
-    lo = np.full(len(keys), M.max())
-    hi = np.zeros(len(keys), dtype=M.dtype)
-    np.minimum.at(lo, fam, M)
-    np.maximum.at(hi, fam, M)
-    a0, b0 = np.array([h.shapes[0], h.shapes[2]])[keys[:, 0]].T
-    families = _CdfFamilies(a0, b0, keys[:, 1], lo, hi)
-    r11, r22 = np.split(families.row(fam, M), 2)
-
-    cross, s12 = np.unique(np.stack(posterior_shapes(counts, h)[1], axis=1),
-                           axis=0, return_inverse=True)
-    a12, b12 = cross.T
-    density = (a12 - 1, b12 - 1, betaln(a12, b12))
-    x = np.linspace(0.0, 1.0, points)
-    w = _simpson_weights(points)
-    qa = np.zeros(len(s12))
-    qd = np.zeros(len(s12))
-    for start in range(0, points, GRID_CHUNK):
-        cols = slice(start, start + GRID_CHUNK)
-        with np.errstate(divide="ignore"):  # -inf at the endpoints
-            logs = np.log(x[cols]), np.log1p(-x[cols])
-        f12 = _exp_rows(*density, *logs)
-        # shapes < 1 make the density unbounded at an endpoint; drop those grid
-        # points rather than propagate inf through the quadrature
-        f12[np.isinf(f12)] = 0.0
-        f12 = (f12 * w[cols])[s12]
-        cdf = families.table(x[cols], *logs)
-        for q, below in ((qa, 1.0 - cdf), (qd, cdf)):
-            term = below[r11]
-            term *= below[r22]
-            term *= f12
-            q += term.sum(axis=1)
-    return qa, qd
+    (a11, b11), (a12, b12), (a22, b22) = h.shapes
+    keys = len(counts.M11)
+    within = _CdfFamilies(np.repeat([a11, a22], keys), np.repeat([b11, b22], keys),
+                          np.concatenate([counts.m11, counts.m22]),
+                          np.concatenate([counts.M11, counts.M22]))
+    r11, r22 = np.split(within.rows, 2)
+    cross = _CdfFamilies(a12, b12, counts.m12, counts.M12)
+    x = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
+    qa, qd = np.zeros(keys), np.zeros(keys)
+    peaks, ends = [], []  # per chunk: p12's largest cell rise, F11 or F22 at its end
+    with np.errstate(divide="ignore"):  # the grid's logs are -inf at 0 and 1
+        for start in range(0, points, GRID_CHUNK):
+            # the chunk's points and one more on each side, repeated at the ends
+            span = np.arange(start - 1, min(start + GRID_CHUNK, points) + 1)
+            xs = x[span.clip(0, points - 1)]
+            logs = np.log(xs), np.log1p(-xs)
+            rise = np.diff(cross.table(xs, *logs), axis=1)
+            peaks.append(rise[:, :-1].max(axis=1))
+            # twice each point's weight: the rises of F12 over the cells either side
+            w12 = np.take(rise[:, :-1] + rise[:, 1:], cross.rows, axis=0)
+            cdf = within.table(xs[1:-1], *(log[1:-1] for log in logs))
+            ends.append(cdf[:, -1].copy())  # a view would keep all of cdf
+            for q, below in ((qa, 1.0 - cdf), (qd, cdf)):
+                g = np.take(below, r11, axis=0)
+                g *= np.take(below, r22, axis=0)
+                q += np.einsum("ij,ij->i", g, w12)
+    ends = np.stack(ends, axis=1)
+    chunk_rises = np.diff(np.take(ends, r11, axis=0) + np.take(ends, r22, axis=0),
+                          axis=1, prepend=0.0)
+    width = np.einsum("ij,ij->i", np.take(np.stack(peaks, axis=1), cross.rows, axis=0),
+                      chunk_rises)
+    return qa / 2, qd / 2, width / 2
 
 
 def require_quadrature(points: int) -> None:
     """Refuse (ValueError) fewer than 3 quadrature points, or more than the
-    float64 grid and Simpson weights (16 bytes a point) can hold in memory."""
+    float64 grid and one temporary (16 bytes a point) can hold in memory."""
     if not points >= 3:
         raise ValueError(f"--quad-points must be at least 3, got {points}")
     require_memory(16 * points, f"--quad-points {points}")
@@ -303,19 +283,20 @@ def require_quadrature(points: int) -> None:
 @np.errstate(over="raise", invalid="raise")
 def exact_structure_posterior(
     g: Graph, h: Hyperparameters, quadrature_points: int = 4097
-) -> StructureVerdict:
+) -> tuple[StructureVerdict, float]:
     """Brute-force verdict: enumerate all 2^n label vectors.
 
     Each vector is weighted by its marginal likelihood times label prior.
     Both depend only on its key (n1, M11, M22), so each key's weight is taken
     once and times the number of vectors that share it. Each key has its
-    conditional ordering probabilities: Simpson quadrature of p12's density
-    on `quadrature_points` evenly spaced points of [0, 1] (any number >= 3;
-    an even number takes scipy's correction on the last interval) against
-    the CDFs of p11 and p22, which _CdfFamilies tabulates from one betainc
-    call per family and grid chunk. An overflow or invalid operation raises
-    FloatingPointError, and a verdict outside [0, 1] raises ArithmeticError.
-    Only feasible for n <= ENUMERATION_LIMIT (18).
+    conditional ordering probabilities, integrated against p12's CDF on
+    `quadrature_points` (at least 3) grid points of [0, 1] graded toward both
+    ends, with the CDFs from _CdfFamilies (see _conditional_orderings).
+    Returns the verdict and quadrature_error, a bound on each verdict
+    probability's quadrature error. A bound above QUADRATURE_TOLERANCE, or a
+    verdict outside [0, 1] by more than rounding, raises ArithmeticError; an
+    overflow or invalid operation raises FloatingPointError. Only feasible
+    for n <= ENUMERATION_LIMIT (18).
     """
     if g.n > ENUMERATION_LIMIT:
         raise ValueError(
@@ -336,10 +317,15 @@ def exact_structure_posterior(
     log_weights = log_marginal_likelihood(counts, h) + n1 * h.log_odds
     weights = labellings * np.exp(log_weights - log_weights.max())
     weights /= weights.sum()
-    qa, qd = _conditional_orderings(counts, h, quadrature_points)
+    qa, qd, bound = _conditional_orderings(counts, h, quadrature_points)
+    error = float(weights @ bound)
+    if not error <= QUADRATURE_TOLERANCE:
+        raise ArithmeticError(
+            f"the quadrature error bound {error:.2g} exceeds "
+            f"{QUADRATURE_TOLERANCE:g}; raise --quad-points")
     pa, pd = weights @ qa, weights @ qd
-    verdict = (float(pa), float(1.0 - pa - pd), float(pd))
-    # huge shapes can leave the quadrature meaningless without an overflow
-    if not all(0.0 <= v <= 1.0 for v in verdict):  # nan too
-        raise ArithmeticError(f"exact verdict {verdict} lies outside [0, 1]")
-    return StructureVerdict(*verdict, n_samples=2 ** g.n)
+    verdict = np.array([pa, 1.0 - pa - pd, pd])
+    # every key's sums lie in [0, 1], so only rounding can move a verdict out
+    if not np.all(np.abs(verdict - 0.5) <= 0.5 + 1e-12):
+        raise ArithmeticError(f"exact verdict {verdict.tolist()} lies outside [0, 1]")
+    return StructureVerdict(*verdict.clip(0.0, 1.0).tolist(), n_samples=2 ** g.n), error

@@ -86,6 +86,24 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out.read_text())["input"]["n"] == 3
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ("a b\nc\n", "line 1: expected one node name, got 2"),
+        ("a\nc\na\n", "node list repeats the name 'a'"),
+    ], ids=["two-names-on-a-line", "repeated-name"])
+    def test_malformed_node_sidecar_is_data_error(self, tmp_path, capsys,
+                                                  monkeypatch, sidecar, message):
+        """One name per line, each once: the parser once split the file on
+        any whitespace and merged repeated names, and ran with n = 3 and 2."""
+        monkeypatch.setattr(cli, "run_chain", None)  # not reached
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a c\n")
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text(sidecar)
+        assert run_cli("analyze", str(edges), "--nodes", str(nodes)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert err.count("\n") == 1
+
     def test_burn_in_exceeding_samples_is_usage_error(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n")
@@ -383,9 +401,25 @@ class TestOracle:
         path.write_text("0 1\n1 2\n0 2\n")
         out = tmp_path / "o.json"
         assert run_cli("oracle", str(path), "--out", str(out)) == 0
-        v = json.loads(out.read_text())["verdict"]
+        report = json.loads(out.read_text())
+        v = report["verdict"]
         total = v["p_assortative"] + v["p_core_periphery"] + v["p_disassortative"]
         assert total == pytest.approx(1.0, abs=1e-8)
+        assert 0 < report["quadrature_error"] < 1e-2
+
+    def test_triangle_verdict_at_small_shapes(self, tmp_path):
+        """a0 = b0 = 0.2, where 2e6 direct Monte Carlo draws give (0.2630,
+        0.3769, 0.3601) +- 0.0003."""
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        out = tmp_path / "o.json"
+        assert run_cli("oracle", str(path), "--a0", "0.2", "--b0", "0.2",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        v = report["verdict"]
+        assert (v["p_assortative"], v["p_core_periphery"], v["p_disassortative"]) \
+            == pytest.approx((0.263, 0.377, 0.360), abs=1e-3)
+        assert report["quadrature_error"] < 1e-2
 
     def test_too_few_quadrature_points_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "tri.txt"
@@ -407,17 +441,32 @@ class TestOracle:
                               "16000000000000 bytes") and err.count("\n") == 1
 
     @pytest.mark.parametrize("prior", [["--a0", "1e6"],
-                                       ["--a0", "1e300", "--b0", "1e300"]],
-                             ids=["a0-1e6", "a0-b0-1e300"])
+                                       ["--a0", "1e300", "--b0", "1e300"],
+                                       ["--a0", "0.01"]],
+                             ids=["a0-1e6", "a0-b0-1e300", "a0-0.01"])
     def test_impossible_verdict_is_numeric_error(self, tmp_path, prior):
-        """Verdicts of -80 and 81, and an overflow, exit 3 with one line on
-        stderr and no warning."""
+        """Quadrature error bounds of 0.28, 0.5 and 0.38 on the triangle exit 3
+        with one line on stderr and no warning."""
         path = tmp_path / "tri.txt"
         path.write_text("0 1\n1 2\n0 2\n")
         proc = run_cli_proc("oracle", str(path), *prior)
         assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr.startswith("numerical error:")
+        assert proc.stderr.startswith("numerical error: the quadrature error bound")
         assert proc.stderr.count("\n") == 1
+
+    def test_coarse_grid_is_numeric_error(self, tmp_path, capsys):
+        """65 points on a 14-node SBM bound the error by 0.13: exit 3, and the
+        message says to raise --quad-points."""
+        prefix = str(tmp_path / "sbm")
+        assert run_cli("generate", "--n", "14", "--sizes", "6,8", "--p11", "0.7",
+                       "--p12", "0.3", "--p22", "0.2", "--seed", "13",
+                       "--out", prefix) == 0
+        capsys.readouterr()
+        assert run_cli("oracle", f"{prefix}.edges", "--nodes", f"{prefix}.nodes",
+                       "--quad-points", "65") == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical error: the quadrature error bound 0.13 exceeds "
+                       "0.01; raise --quad-points\n")
 
     def test_report_echoes_prior(self, tmp_path):
         path = tmp_path / "tri.txt"

@@ -7,10 +7,10 @@ moved those draws in each chain's RNG stream. A change that alters one of
 them changes a seeded result, and must say so and why when it records new
 hashes.
 
-The oracle case was recorded when the label prior became one pi for every
-node, so the oracle weighs each key (n1, M11, M22) once. ROADMAP item 1
-changes the oracle's quadrature, and so its verdict and these bytes; it will
-record a new hash for this case and say why.
+The oracle case was recorded when the oracle began to integrate against
+p12's CDF, from the same Beta CDF tables as p11 and p22, on a grid graded
+toward both ends, in place of Simpson's rule on p12's density. Its verdict
+moved by at most 4e-8 and the report gained quadrature_error.
 """
 
 import hashlib
@@ -44,7 +44,7 @@ CASES = {
     "oracle-sbm-14-pi-0.2": ([
         "oracle", "sbm.edges", "--nodes", "sbm.nodes", "--pi", "0.2",
     ], {
-        "oracle.json": "3594890d13daab9cb1a9c9da7fb7da7403cf01f8559b5fcb7968cc09a38cb301",
+        "oracle.json": "075e2fd09c4be06df6c8401e32a2b940fde73462679541d53e895b457f1d98d4",
     }),
 }
 FLAGS = {"report.json": "--out", "traces.csv": "--emit-traces",

@@ -96,6 +96,11 @@ def test_node_list_sidecar_allows_isolated_nodes():
     assert g.adjacency[2] == ()
 
 
+def test_node_list_with_a_repeated_name_rejected():
+    with pytest.raises(GraphParseError, match="repeats the name 'a'"):
+        parse_edge_list("a c", node_list=["a", "c", "a"])
+
+
 def test_has_edge_pair_sum_is_twice_m():
     g = load_dataset("karate")
     neighbours = [set(adj) for adj in g.adjacency]
