@@ -80,15 +80,18 @@ class Graph:
         ``names`` defaults to the decimal ids. ``n`` may extend the node set
         beyond the highest endpoint (isolated nodes).
         """
-        edge_set = set()
+        adj: list[list[int]] = [[] for _ in range(n or 0)]
         max_id = -1
         for i, j in edges:
             if i == j:
                 raise GraphParseError(f"self-loop on node id {i}")
-            a, b = (i, j) if i < j else (j, i)
-            edge_set.add((a, b))
-            if b > max_id:
-                max_id = b
+            top = i if i > j else j
+            if top > max_id:
+                max_id = top
+                if top >= len(adj):
+                    adj.extend([] for _ in range(top + 1 - len(adj)))
+            adj[i].append(j)
+            adj[j].append(i)
         if n is None:
             n = max_id + 1
         if n == 0:
@@ -99,12 +102,10 @@ class Graph:
             names = [str(i) for i in range(n)]
         if len(names) != n:
             raise GraphParseError(f"expected {n} names, got {len(names)}")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edge_set:
-            adj[a].append(b)
-            adj[b].append(a)
-        adjacency = tuple(tuple(sorted(nb)) for nb in adj)
-        return Graph(n=n, m=len(edge_set), adjacency=adjacency, names=tuple(names))
+        # an edge given twice, in either orientation, repeats a neighbour
+        adjacency = tuple(tuple(sorted(set(nb))) for nb in adj)
+        m = sum(map(len, adjacency)) // 2
+        return Graph(n=n, m=m, adjacency=adjacency, names=tuple(names))
 
 
 def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
@@ -117,33 +118,22 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
     pre-registers distinct node names in order, which is the only way to
     introduce isolated nodes; a repeated name is refused.
     """
-    ids: dict[str, int] = {}
-    names: list[str] = []
-
-    def intern(tok: str) -> int:
-        i = ids.get(tok)
-        if i is None:
-            i = len(names)
-            ids[tok] = i
-            names.append(tok)
-        return i
-
+    ids: dict[str, int] = {}  # in first-appearance order, so list(ids) is the names
     for name in node_list or ():
         if name in ids:
             raise GraphParseError(f"node list repeats the name {name!r}")
-        intern(name)
+        ids[name] = len(ids)
     edges = []
     comments = 0
     blanks = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        tokens = line.split()
+        if not tokens:
             blanks += 1
             continue
-        if stripped.startswith(COMMENT_PREFIX):
+        if tokens[0].startswith(COMMENT_PREFIX):
             comments += 1
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise GraphParseError(
                 f"line {lineno}: expected 2 node tokens, got {len(tokens)}"
@@ -151,8 +141,8 @@ def parse_edge_list(text: str, node_list: list[str] | None = None) -> Graph:
         u, v = tokens
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop on node {u!r}")
-        edges.append((intern(u), intern(v)))
+        edges.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))))
 
-    g = Graph.from_edges(edges, names=names, n=len(names))
+    g = Graph.from_edges(edges, names=list(ids), n=len(ids))
     return replace(g, diagnostics=ParseDiagnostics(
         duplicate_edges=len(edges) - g.m, comment_lines=comments, blank_lines=blanks))

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
 from scipy.special import betainc, logsumexp
-from scipy.stats import beta as beta_dist
 
 from mesoscale import inference
 from mesoscale.graph import Graph
@@ -206,14 +204,20 @@ class TestDensitySummary:
             density_summary(s, bins=1)
 
 
+def oracle_grid(points):
+    """The oracle's grid: x = (1 - cos(pi t)) / 2 on evenly spaced t."""
+    return (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
+
+
 def exact_membership_oracle(g, h, quad_points=4097):
     """P(c_i = 1 | A) with group 1 the group with p11 >= p22 in each draw.
 
-    Enumerates label vectors; conditional on labels, P(p11 > p22) is a
-    one-dimensional integral of the Beta density of p11 against the CDF
-    of p22. When p22 > p11 every node's group is exchanged.
+    Enumerates label vectors; conditional on labels, P(p11 > p22) is the
+    Stieltjes sum of F22 dF11 on the oracle's grid, each cell adding its
+    rise of F11 times the mean of F22 at its two edges, as in
+    loop_structure_oracle. When p22 > p11 every node's group is exchanged.
     """
-    x = np.linspace(0.0, 1.0, quad_points)
+    x = oracle_grid(quad_points)
     masks = list(itertools.product((1, 2), repeat=g.n))
     log_w = np.empty(len(masks))
     p11_gt = np.empty(len(masks))
@@ -221,13 +225,9 @@ def exact_membership_oracle(g, h, quad_points=4097):
         c = np.array(labels)
         counts = block_counts(g, c)
         log_w[k] = log_marginal_likelihood(counts, h) + log_prior_labels(c, h)
-        a11 = counts.M11 + h.a0_11
-        b11 = counts.m11 - counts.M11 + h.b0_11
-        a22 = counts.M22 + h.a0_22
-        b22 = counts.m22 - counts.M22 + h.b0_22
-        f11 = beta_dist.pdf(x, a11, b11)
-        f11[~np.isfinite(f11)] = 0.0
-        p11_gt[k] = simpson(f11 * betainc(a22, b22, x), x=x)
+        (a11, b11), _, (a22, b22) = posterior_shapes(counts, h)
+        cdf22 = betainc(a22, b22, x)
+        p11_gt[k] = np.diff(betainc(a11, b11, x)) @ ((cdf22[:-1] + cdf22[1:]) / 2)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
     member = np.zeros(g.n)
@@ -235,11 +235,6 @@ def exact_membership_oracle(g, h, quad_points=4097):
         in1 = np.array(labels) == 1
         member += w[k] * (in1 * p11_gt[k] + (~in1) * (1.0 - p11_gt[k]))
     return member
-
-
-def oracle_grid(points):
-    """The oracle's grid: x = (1 - cos(pi t)) / 2 on evenly spaced t."""
-    return (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
 
 
 def loop_structure_oracle(g, h, quad_points=4097):
@@ -532,6 +527,19 @@ class TestExactStructurePosterior:
         g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
                                           p=BlockProbs(0.85, 0.25, 0.55), seed=31))
         h = Hyperparameters.uniform()
+        expected = exact_membership_oracle(g, h)
+        s = run_chain(g, h, ChainConfig(total_samples=60000, burn_in=5000,
+                                        seed=31))
+        observed = membership_probabilities(s)
+        assert np.max(np.abs(observed - expected)) < 0.02
+
+    def test_membership_matches_exact_oracle_below_shape_one(self):
+        """b0 = 0.1 < 1, where p11's density is unbounded at 1. Simpson's
+        rule on that density, with its infinite endpoint values set to 0,
+        put a node's membership 0.18 from this chain's."""
+        g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
+                                          p=BlockProbs(0.85, 0.25, 0.55), seed=7))
+        h = Hyperparameters.uniform(1.0, 0.1)
         expected = exact_membership_oracle(g, h)
         s = run_chain(g, h, ChainConfig(total_samples=60000, burn_in=5000,
                                         seed=31))

@@ -150,7 +150,8 @@ def first_node_draws(g, i, u):
     """One sweep's draws in which node i is visited first, with uniform u;
     every later node gets log u = 0 and so moves only on delta >= 0."""
     order = np.array([i] + [j for j in range(g.n) if j != i])
-    return iter([(order, g.degree_array[order], [math.log(u)] + [0.0] * (g.n - 1))])
+    log_us = np.array([math.log(u)] + [0.0] * (g.n - 1))
+    return iter([(order, g.degree_array[order], log_us)])
 
 
 def sweep_flips(g, c, p, h, i, u):

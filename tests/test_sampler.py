@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
+from mesoscale.cli import main
 from mesoscale.graph import Graph, parse_edge_list
 from mesoscale.datasets import load_dataset
 from mesoscale.model import (
@@ -307,7 +309,7 @@ class TestSweepDraws:
             assert sorted(order.tolist()) == list(range(n))
             assert np.array_equal(degrees, g.degree_array[order])
             assert len(log_us) == n and max(log_us) <= 0.0
-            all_log_us += log_us
+            all_log_us += log_us.tolist()
         assert len(all_log_us) == sweeps * n
         assert len(set(all_log_us)) == len(all_log_us)
 
@@ -641,6 +643,108 @@ class TestMatchesNumpyStateReference:
         assert np.array_equal(s.size_tally, ref["size_tally"])
         assert np.array_equal(s.coassign_tally, ref["coassign_tally"])
         assert s.chain_acceptance == ref["chain_acceptance"]
+
+
+class ZeroSomeUniforms:
+    """A chain RNG whose sweep uniforms, its only 2-d draws, are exactly 0.0
+    in every 29th column of each block: log u = -inf 14 times a sweep at
+    n = 400."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        if np.ndim(u) == 2:
+            u[:, ::29] = 0.0
+        return u
+
+
+class TestScreenedSweep:
+    """sampler.screened_sweep against the plain loop of label_sweep: every
+    proposal the screen skips would have been rejected, so the chains and
+    every seeded output are the same. The module constants force one path
+    or the other: the screened side screens every sweep after the first."""
+
+    CASES = {
+        # exchange_groups moves, and replaces the d1 list, under asymmetric
+        # shapes at pi 0.3
+        "asymmetric-pi-0.3": (karate_prior((3.0, 1.0, 0.5), (1.0, 2.0, 2.0), 0.3),
+                              sampler.SCREEN_DRIFT, False),
+        # shapes this small draw block probabilities of exactly 0.0 and 1.0
+        "clamped-p": (Hyperparameters.uniform(a0=0.002, b0=0.002, pi=0.05),
+                      sampler.SCREEN_DRIFT, False),
+        # a fresh screen after every accepted flip
+        "drift-0": (Hyperparameters.uniform(pi=0.4), 0, False),
+        "u-zero": (Hyperparameters.uniform(), sampler.SCREEN_DRIFT, True),
+    }
+
+    @staticmethod
+    def force(monkeypatch, g, screened):
+        """Route every sweep after a chain's first through screened_sweep, or
+        none; returns the list that counts the screened sweeps."""
+        calls = []
+        screen = sampler.screened_sweep
+
+        def counting(*args):
+            calls.append(1)
+            return screen(*args)
+
+        monkeypatch.setattr(sampler, "screened_sweep", counting)
+        monkeypatch.setattr(sampler, "SCREEN_MIN_NODES", 0 if screened else g.n + 1)
+        monkeypatch.setattr(sampler, "SCREEN_MAX_MARKED", math.inf)
+        return calls
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_posterior_samples(self, case, monkeypatch):
+        h, drift, zero_u = self.CASES[case]
+        g = random_graph(400, 2000, seed=23)
+        cfg = ChainConfig(total_samples=150, burn_in=50, seed=6, chains=2,
+                          coassign=True)
+        monkeypatch.setattr(sampler, "SCREEN_DRIFT", drift)
+        if zero_u:
+            monkeypatch.setattr(sampler, "chain_rng",
+                                lambda *key: ZeroSomeUniforms(chain_rng(*key)))
+        probs = []
+        gibbs = sampler.gibbs_update_probs
+
+        def recording_gibbs(state, h, rng):
+            state = gibbs(state, h, rng)
+            probs.extend(state.p)
+            return state
+
+        monkeypatch.setattr(sampler, "gibbs_update_probs", recording_gibbs)
+        results = []
+        for screened in (False, True):
+            calls = self.force(monkeypatch, g, screened)
+            results.append(run_chain(g, h, cfg))
+            assert len(calls) == (cfg.total_samples - 1) * cfg.chains * screened
+        plain, screened = results
+        for f in dataclasses.fields(plain):
+            assert np.array_equal(getattr(plain, f.name), getattr(screened, f.name)), f.name
+        if case == "clamped-p":
+            assert {0.0, 1.0} <= set(probs)
+
+    def test_analyze_reports_are_byte_identical(self, tmp_path, monkeypatch):
+        g, _ = generate_sbm(GeneratorSpec(n=1000, sizes=(400, 600),
+                                          p=BlockProbs(0.03, 0.005, 0.02), seed=8))
+        edges, nodes = tmp_path / "sbm.edges", tmp_path / "sbm.nodes"
+        edges.write_text(g.to_edge_list())
+        nodes.write_text("\n".join(g.names))
+        for seed in (1, 2, 3):
+            reports = []
+            for screened in (False, True):
+                calls = self.force(monkeypatch, g, screened)
+                out = tmp_path / f"report-{seed}-{screened}.json"
+                assert main(["analyze", str(edges), "--nodes", str(nodes),
+                             "--samples", "60", "--burn-in", "20",
+                             "--seed", str(seed), "--out", str(out)]) == 0
+                assert len(calls) == 59 * screened
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
 
 
 class TestCoassignTally:
