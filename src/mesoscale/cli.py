@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -266,15 +265,8 @@ def cmd_oracle(args) -> int:
     require_quadrature(args.quad_points)
     g, source = _load_graph(args)
     verdict, error = exact_structure_posterior(g, h, quadrature_points=args.quad_points)
-    payload = {
-        "schema_version": report_mod.SCHEMA_VERSION,
-        "input": {"source": source, "n": g.n, "m": g.m},
-        "config": {"hyperparameters": report_mod._hyper_dict(h)},
-        "verdict": asdict(verdict),
-        "quadrature_points": args.quad_points,
-        "quadrature_error": error,
-    }
-    _write_out(report_mod.report_json(payload), args.out)
+    report = report_mod.build_oracle_report(g, source, h, verdict, args.quad_points, error)
+    _write_out(report_mod.report_json(report), args.out)
     return EXIT_OK
 
 

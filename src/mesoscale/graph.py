@@ -75,7 +75,7 @@ class Graph:
         names: list[str] | None = None,
         n: int | None = None,
     ) -> "Graph":
-        """Build a validated Graph from (i, j) internal-id pairs.
+        """Build a validated Graph from (i, j) internal-id pairs (ids >= 0).
 
         ``names`` defaults to the decimal ids. ``n`` may extend the node set
         beyond the highest endpoint (isolated nodes).
@@ -83,8 +83,9 @@ class Graph:
         adj: list[list[int]] = [[] for _ in range(n or 0)]
         max_id = -1
         for i, j in edges:
-            if i == j:
-                raise GraphParseError(f"self-loop on node id {i}")
+            if i == j or i < 0 or j < 0:
+                raise GraphParseError(f"self-loop on node id {i}" if i == j
+                                      else f"negative node id {min(i, j)}")
             top = i if i > j else j
             if top > max_id:
                 max_id = top

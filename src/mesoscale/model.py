@@ -52,6 +52,11 @@ class BlockCounts(NamedTuple):
         return cls(M11, M12, M22, n1 * (n1 - 1) // 2, n1 * n2, n2 * (n2 - 1) // 2,
                    n1, n2)
 
+    @classmethod
+    def of_group1(cls, g: Graph, n1: int, M11: int, D1: int) -> "BlockCounts":
+        """Counts on g given group 1's size n1, edges M11 and degree sum D1."""
+        return cls.of(M11, D1 - 2 * M11, g.m - D1 + M11, n1, g.n - n1)
+
     def swapped(self) -> "BlockCounts":
         """Counts after exchanging the two group names."""
         return BlockCounts.of(self.M22, self.M12, self.M11, self.n2, self.n1)
@@ -114,7 +119,7 @@ def group1_degrees(g: Graph, flags: bytes) -> list[int]:
 
 def block_counts(g: Graph, c: np.ndarray, d1: list[int] | None = None) -> BlockCounts:
     """Sufficient statistics for labels c (entries in {1, 2}) on graph g, with
-    M11 and M12 summed over group 1 from d1 = group1_degrees(g, c == 1)."""
+    M11 (from d1 = group1_degrees(g, c == 1)) and D1 summed over group 1."""
     c = np.asarray(c)
     if len(c) != g.n:
         raise ValueError(f"label vector length {len(c)} != graph n={g.n}")
@@ -122,10 +127,8 @@ def block_counts(g: Graph, c: np.ndarray, d1: list[int] | None = None) -> BlockC
     if d1 is None:
         d1 = group1_degrees(g, in1.tobytes())
     group1 = np.flatnonzero(in1).tolist()
-    n1 = len(group1)
-    M11 = sum(d1[i] for i in group1) // 2
-    M12 = sum(g.degrees[i] for i in group1) - 2 * M11
-    return BlockCounts.of(M11, M12, g.m - M11 - M12, n1, g.n - n1)
+    return BlockCounts.of_group1(g, len(group1), sum(d1[i] for i in group1) // 2,
+                                 sum(g.degrees[i] for i in group1))
 
 
 def posterior_shapes(counts: BlockCounts, h: Hyperparameters) -> tuple:

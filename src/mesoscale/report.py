@@ -1,4 +1,4 @@
-"""Analysis report assembly and serialization (JSON / key-value CSV).
+"""Analysis and oracle report assembly and serialization (JSON / key-value CSV).
 
 Reports embed the full configuration and seed, so any report can be
 reproduced exactly. Serialization is deterministic: identical runs produce
@@ -7,9 +7,11 @@ byte-identical output.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .graph import Graph
 from .inference import StructureVerdict, group_size_posterior, membership_by_name
@@ -24,12 +26,8 @@ def edge_list_sha256(g: Graph) -> str:
 
 
 def _hyper_dict(h: Hyperparameters) -> dict:
-    return {
-        "a0_11": h.a0_11, "b0_11": h.b0_11,
-        "a0_12": h.a0_12, "b0_12": h.b0_12,
-        "a0_22": h.a0_22, "b0_22": h.b0_22,
-        "pi": h.pi,
-    }
+    """The six Beta shapes and pi, in field order; not the derived fields."""
+    return {f.name: getattr(h, f.name) for f in fields(h) if f.init}
 
 
 def build_analysis_report(
@@ -67,6 +65,19 @@ def build_analysis_report(
     return report
 
 
+def build_oracle_report(g: Graph, source: str, h: Hyperparameters, verdict: StructureVerdict,
+                        quadrature_points: int, quadrature_error: float) -> dict:
+    """The exact oracle's report as a JSON-ready dict with stable key order."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "input": {"source": source, "n": g.n, "m": g.m},
+        "config": {"hyperparameters": _hyper_dict(h)},
+        "verdict": asdict(verdict),
+        "quadrature_points": quadrature_points,
+        "quadrature_error": quadrature_error,
+    }
+
+
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
@@ -86,11 +97,12 @@ def _flat_items(prefix: str, obj):
 
 
 def report_csv(report: dict) -> str:
-    """Key-value CSV: nested keys joined with dots, lists joined with ';'."""
-    lines = ["key,value"]
-    for key, value in _flat_items("", report):
-        lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+    """Key-value CSV: nested keys joined with dots, lists joined with ';'; a
+    field holding a comma, quote or line break is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([("key", "value"),
+                                                    *_flat_items("", report)])
+    return out.getvalue()
 
 
 def traces_csv(samples: PosteriorSamples) -> str:

@@ -26,11 +26,13 @@ per edge and per non-edge of moving a pair from block 11 to 12 (12 to 22):
 
     a   = (w1 - v1) - (w2 - v2)
     b_i = deg_i*(w2 - v2) - log_odds
-    k1  = (n1 - 1)*v1 + n2*v2,   k0 = -(n2 - 1)*v2 - n1*v1
+    k1  = (n1 - 1)*v1 + (n - n1)*v2,   k0 = -(n - n1 - 1)*v2 - n1*v1
 
 a is fixed by p, b is one numpy vector per sweep gathered in visiting order,
 and k1, k0 change only when a flip is accepted, so each proposal costs one
-list read and one multiply-add. A flip is accepted when log u < delta.
+list read and one multiply-add. A flip is accepted when log u < delta. The
+loops count only n1, M11 and D1, the degree sum of group 1, which a flip of
+i moves by +-1, +-d1 and +-deg_i; BlockCounts.of_group1 derives the rest.
 
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
 state, so exchange_groups returns at once. run_chain keeps each retained
@@ -309,13 +311,12 @@ def label_sweep(
                                            slack, max_degree)
         return state, state.sweep_flips
 
-    adjacency, degrees = g.adjacency, g.degrees
+    n, adjacency, degrees = g.n, g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
     counts = state.counts
-    n1, n2 = counts.n1, counts.n2
-    M11, M12, M22 = counts.M11, counts.M12, counts.M22
-    k1 = (n1 - 1) * v1 + n2 * v2
-    k0 = -(n2 - 1) * v2 - n1 * v1
+    n1, M11, D1 = counts.n1, counts.M11, 2 * counts.M11 + counts.M12
+    k1 = (n1 - 1) * v1 + (n - n1) * v2
+    k0 = -(n - n1 - 1) * v2 - n1 * v1
     accepted = 0
 
     for i, b, log_u in zip(order.tolist(), bs.tolist(), log_us.tolist()):
@@ -326,11 +327,8 @@ def label_sweep(
                 continue
             flags[i] = 0
             n1 -= 1
-            n2 += 1
-            d2 = degrees[i] - d1
             M11 -= d1
-            M12 += d1 - d2
-            M22 += d2
+            D1 -= degrees[i]
             for j in adjacency[i]:
                 d1s[j] -= 1
         else:
@@ -338,19 +336,16 @@ def label_sweep(
                 continue
             flags[i] = 1
             n1 += 1
-            n2 -= 1
-            d2 = degrees[i] - d1
-            M22 -= d2
-            M12 += d2 - d1
             M11 += d1
+            D1 += degrees[i]
             for j in adjacency[i]:
                 d1s[j] += 1
         accepted += 1
-        k1 = (n1 - 1) * v1 + n2 * v2
-        k0 = -(n2 - 1) * v2 - n1 * v1
+        k1 = (n1 - 1) * v1 + (n - n1) * v2
+        k0 = -(n - n1 - 1) * v2 - n1 * v1
 
     if accepted:
-        state.counts = BlockCounts.of(M11, M12, M22, n1, n2)
+        state.counts = BlockCounts.of_group1(g, n1, M11, D1)
     state.sweep_flips = accepted
     return state, accepted
 
@@ -372,14 +367,12 @@ def screened_sweep(
     change of the group-1 size beyond SCREEN_DRIFT starts a new screen after
     the accepted flip.
     """
-    n = g.n
-    adjacency, degrees = g.adjacency, g.degrees
+    n, adjacency, degrees = g.n, g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
     counts = state.counts
-    n1, n2 = counts.n1, counts.n2
-    M11, M12, M22 = counts.M11, counts.M12, counts.M22
-    k1 = (n1 - 1) * v1 + n2 * v2
-    k0 = -(n2 - 1) * v2 - n1 * v1
+    n1, M11, D1 = counts.n1, counts.M11, 2 * counts.M11 + counts.M12
+    k1 = (n1 - 1) * v1 + (n - n1) * v2
+    k0 = -(n - n1 - 1) * v2 - n1 * v1
     accepted = 0
 
     tolerance = SCREEN_DRIFT * abs(v1 - v2) + slack
@@ -415,11 +408,8 @@ def screened_sweep(
                     continue
                 flags[i] = 0
                 n1 -= 1
-                n2 += 1
-                d2 = degrees[i] - d1
                 M11 -= d1
-                M12 += d1 - d2
-                M22 += d2
+                D1 -= degrees[i]
                 for j in adjacency[i]:
                     d1s[j] -= 1
                     if budget[j]:
@@ -432,11 +422,8 @@ def screened_sweep(
                     continue
                 flags[i] = 1
                 n1 += 1
-                n2 -= 1
-                d2 = degrees[i] - d1
-                M22 -= d2
-                M12 += d2 - d1
                 M11 += d1
+                D1 += degrees[i]
                 for j in adjacency[i]:
                     d1s[j] += 1
                     if budget[j]:
@@ -444,15 +431,15 @@ def screened_sweep(
                     else:
                         cand[position.item(j)] = 1
             accepted += 1
-            k1 = (n1 - 1) * v1 + n2 * v2
-            k0 = -(n2 - 1) * v2 - n1 * v1
+            k1 = (n1 - 1) * v1 + (n - n1) * v2
+            k0 = -(n - n1 - 1) * v2 - n1 * v1
             if abs(n1 - n1_screen) > SCREEN_DRIFT:
                 start = k + 1
                 break
             k = cand.find(1, k + 1)
 
     if accepted:
-        state.counts = BlockCounts.of(M11, M12, M22, n1, n2)
+        state.counts = BlockCounts.of_group1(g, n1, M11, D1)
     return accepted
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -222,6 +223,19 @@ class TestAnalyze:
         dens_lines = dens.read_text().splitlines()
         assert dens_lines[0] == "component,bin_left,bin_right,mass"
         assert len(dens_lines) == 1 + 3 * 50
+
+    def test_csv_quotes_names_with_commas_and_quotes(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text('a,b c\nc d"e\nd"e a,b\n')
+        out = tmp_path / "r.csv"
+        assert run_cli("analyze", str(edges), "--samples", "30", "--burn-in", "10",
+                       "--format", "csv", "--out", str(out)) == 0
+        with out.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        keys = [key for key, _ in rows]
+        assert {"membership.a,b", 'membership.d"e', "membership.c"} <= set(keys)
 
 
 class TestGenerate:

@@ -64,6 +64,14 @@ def test_graph_without_nodes_rejected():
     assert Graph.from_edges([], n=4).n == 4  # edgeless but not empty
 
 
+def test_negative_node_id_rejected():
+    # a negative id would index adjacency from its end: node 2 would list
+    # itself and a neighbour -1 that does not exist
+    for edges, bad in (([(-1, 2), (0, 1)], -1), ([(0, 1), (1, -3)], -3)):
+        with pytest.raises(GraphParseError, match=f"negative node id {bad}$"):
+            Graph.from_edges(edges)
+
+
 def test_duplicate_edges_collapse_and_are_counted():
     g = parse_edge_list("a b\nb a\na b\nb c")
     assert g.m == 2

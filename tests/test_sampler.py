@@ -680,18 +680,24 @@ class TestScreenedSweep:
         # a fresh screen after every accepted flip
         "drift-0": (Hyperparameters.uniform(pi=0.4), 0, False),
         "u-zero": (Hyperparameters.uniform(), sampler.SCREEN_DRIFT, True),
+        # a hub joined to nodes 1-300, max degree 303: d1 may pass 255, so
+        # each screen reads it through np.fromiter, not bytes()
+        "hub-degree-303": (Hyperparameters.uniform(), sampler.SCREEN_DRIFT, False),
     }
 
     @staticmethod
     def force(monkeypatch, g, screened):
         """Route every sweep after a chain's first through screened_sweep, or
-        none; returns the list that counts the screened sweeps."""
+        none; returns the list that counts the screened sweeps. Each screened
+        sweep's state is checked against a recount."""
         calls = []
         screen = sampler.screened_sweep
 
-        def counting(*args):
+        def counting(state, g, *args):
             calls.append(1)
-            return screen(*args)
+            accepted = screen(state, g, *args)
+            assert_consistent(state, g)
+            return accepted
 
         monkeypatch.setattr(sampler, "screened_sweep", counting)
         monkeypatch.setattr(sampler, "SCREEN_MIN_NODES", 0 if screened else g.n + 1)
@@ -702,6 +708,9 @@ class TestScreenedSweep:
     def test_same_posterior_samples(self, case, monkeypatch):
         h, drift, zero_u = self.CASES[case]
         g = random_graph(400, 2000, seed=23)
+        if case == "hub-degree-303":
+            g = Graph.from_edges([*g.edges(), *((0, j) for j in range(1, 301))])
+            assert max(g.degrees) == 303
         cfg = ChainConfig(total_samples=150, burn_in=50, seed=6, chains=2,
                           coassign=True)
         monkeypatch.setattr(sampler, "SCREEN_DRIFT", drift)
