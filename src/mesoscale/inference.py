@@ -237,6 +237,15 @@ def _conditional_orderings(
     chunk of cells the sum is at most the largest dF12 times the chunk's rise
     of F11 + F22, which is the bound returned. All three CDFs come from
     _CdfFamilies: blocks 11 and 22 share one table, p12 has its own.
+
+    Both integrands are symmetric in F11 and F22, so two sets of counts with
+    the same p12 row and the same two within-group rows, in either order,
+    have the same three sums. The group exchange maps (n1, M11, M22) to
+    (n - n1, M22, M11), which is such a pair whenever the 11 and 22 shapes
+    are equal. Each such orbit is integrated once; since IEEE products and
+    sums of two terms commute exactly, its results are bit for bit those of
+    each of its members. Under unequal shapes the 11 and 22 rows come from
+    different families, and every orbit holds one set of counts.
     """
     (a11, b11), (a12, b12), (a22, b22) = h.shapes
     keys = len(counts.M11)
@@ -245,8 +254,14 @@ def _conditional_orderings(
                           np.concatenate([counts.M11, counts.M22]))
     r11, r22 = np.split(within.rows, 2)
     cross = _CdfFamilies(a12, b12, counts.m12, counts.M12)
+    # an orbit is (p12 row, lower within row, higher within row), packed
+    size = within.depth * within.families
+    orbits, orbit_of = np.unique(
+        (cross.rows * size + np.minimum(r11, r22)) * size + np.maximum(r11, r22),
+        return_inverse=True)
+    r12, r11, r22 = orbits // size**2, orbits // size % size, orbits % size
     x = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
-    qa, qd = np.zeros(keys), np.zeros(keys)
+    qa, qd = np.zeros(len(orbits)), np.zeros(len(orbits))
     peaks, ends = [], []  # per chunk: p12's largest cell rise, F11 or F22 at its end
     with np.errstate(divide="ignore"):  # the grid's logs are -inf at 0 and 1
         for start in range(0, points, GRID_CHUNK):
@@ -257,7 +272,7 @@ def _conditional_orderings(
             rise = np.diff(cross.table(xs, *logs), axis=1)
             peaks.append(rise[:, :-1].max(axis=1))
             # twice each point's weight: the rises of F12 over the cells either side
-            w12 = np.take(rise[:, :-1] + rise[:, 1:], cross.rows, axis=0)
+            w12 = np.take(rise[:, :-1] + rise[:, 1:], r12, axis=0)
             cdf = within.table(xs[1:-1], *(log[1:-1] for log in logs))
             ends.append(cdf[:, -1].copy())  # a view would keep all of cdf
             for q, below in ((qa, 1.0 - cdf), (qd, cdf)):
@@ -267,9 +282,9 @@ def _conditional_orderings(
     ends = np.stack(ends, axis=1)
     chunk_rises = np.diff(np.take(ends, r11, axis=0) + np.take(ends, r22, axis=0),
                           axis=1, prepend=0.0)
-    width = np.einsum("ij,ij->i", np.take(np.stack(peaks, axis=1), cross.rows, axis=0),
+    width = np.einsum("ij,ij->i", np.take(np.stack(peaks, axis=1), r12, axis=0),
                       chunk_rises)
-    return qa / 2, qd / 2, width / 2
+    return qa[orbit_of] / 2, qd[orbit_of] / 2, width[orbit_of] / 2
 
 
 def require_quadrature(points: int) -> None:
