@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("--out", help="sweep table CSV path (default stdout)")
     p.add_argument("--raw-out", metavar="FILE",
-                   help="also write per-replicate verdicts as CSV")
+                   help="also write per-replicate verdicts as CSV; each row is "
+                        "one short fit of --samples iterations, not a "
+                        "per-graph answer")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="exact verdict by label enumeration "

@@ -20,9 +20,10 @@ from .model import BlockCounts, Hyperparameters, log_marginal_likelihood
 from .sampler import PosteriorSamples, require_memory
 
 ENUMERATION_LIMIT = 18
-# grid points tabulated at once: keeps the Beta tables and per-labelling terms
-# at (rows x 64) instead of (rows x quadrature points), so memory does not grow
-# with the grid
+# grid points tabulated at once: keeps the Beta tables and per-orbit terms at
+# (rows x 64) instead of (rows x quadrature points), and every sum, the error
+# bound's too, takes its terms chunk by chunk, so past the grid itself (see
+# require_quadrature) memory does not grow with the grid
 GRID_CHUNK = 64
 # the largest quadrature error bound the oracle reports; past it a verdict is
 # too loose to check an MCMC verdict against
@@ -235,7 +236,8 @@ def _conditional_orderings(
     monotone. The two brackets are together sum dF12 (dF11 + dF22) wide, and
     half of that bounds the error of either probability and of their sum. Per
     chunk of cells the sum is at most the largest dF12 times the chunk's rise
-    of F11 + F22, which is the bound returned. All three CDFs come from
+    of F11 + F22, and the bound returned adds these chunk by chunk, keeping
+    only F11 + F22 at the last chunk's end. All three CDFs come from
     _CdfFamilies: blocks 11 and 22 share one table, p12 has its own.
 
     Both integrands are symmetric in F11 and F22, so two sets of counts with
@@ -261,8 +263,8 @@ def _conditional_orderings(
         return_inverse=True)
     r12, r11, r22 = orbits // size**2, orbits // size % size, orbits % size
     x = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
-    qa, qd = np.zeros(len(orbits)), np.zeros(len(orbits))
-    peaks, ends = [], []  # per chunk: p12's largest cell rise, F11 or F22 at its end
+    qa, qd, width = np.zeros((3, len(orbits)))
+    ends = 0.0  # F11 + F22 at the end of the chunk before
     with np.errstate(divide="ignore"):  # the grid's logs are -inf at 0 and 1
         for start in range(0, points, GRID_CHUNK):
             # the chunk's points and one more on each side, repeated at the ends
@@ -270,26 +272,25 @@ def _conditional_orderings(
             xs = x[span.clip(0, points - 1)]
             logs = np.log(xs), np.log1p(-xs)
             rise = np.diff(cross.table(xs, *logs), axis=1)
-            peaks.append(rise[:, :-1].max(axis=1))
             # twice each point's weight: the rises of F12 over the cells either side
             w12 = np.take(rise[:, :-1] + rise[:, 1:], r12, axis=0)
             cdf = within.table(xs[1:-1], *(log[1:-1] for log in logs))
-            ends.append(cdf[:, -1].copy())  # a view would keep all of cdf
             for q, below in ((qa, 1.0 - cdf), (qd, cdf)):
                 g = np.take(below, r11, axis=0)
                 g *= np.take(below, r22, axis=0)
                 q += np.einsum("ij,ij->i", g, w12)
-    ends = np.stack(ends, axis=1)
-    chunk_rises = np.diff(np.take(ends, r11, axis=0) + np.take(ends, r22, axis=0),
-                          axis=1, prepend=0.0)
-    width = np.einsum("ij,ij->i", np.take(np.stack(peaks, axis=1), r12, axis=0),
-                      chunk_rises)
+            # the bound's share: p12's largest cell rise times the rise of F11 + F22
+            end = cdf[r11, -1] + cdf[r22, -1]
+            width += rise[:, :-1].max(axis=1)[r12] * (end - ends)
+            ends = end
     return qa[orbit_of] / 2, qd[orbit_of] / 2, width[orbit_of] / 2
 
 
 def require_quadrature(points: int) -> None:
     """Refuse (ValueError) fewer than 3 quadrature points, or more than the
-    float64 grid and one temporary (16 bytes a point) can hold in memory."""
+    float64 grid and one temporary (16 bytes a point) can hold in memory.
+    Nothing else in the oracle grows with the grid: its tables and sums are
+    per GRID_CHUNK points."""
     if not points >= 3:
         raise ValueError(f"--quad-points must be at least 3, got {points}")
     require_memory(16 * points, f"--quad-points {points}")
@@ -306,7 +307,10 @@ def exact_structure_posterior(
     once and times the number of vectors that share it. Each key has its
     conditional ordering probabilities, integrated against p12's CDF on
     `quadrature_points` (at least 3) grid points of [0, 1] graded toward both
-    ends, with the CDFs from _CdfFamilies (see _conditional_orderings).
+    ends, with the CDFs from _CdfFamilies. A key and its image under the
+    group exchange, (n - n1, M22, M11), have the same integrals when the 11
+    and 22 shapes are equal, so each such pair is integrated once, with
+    bit-identical results (see _conditional_orderings).
     Returns the verdict and quadrature_error, a bound on each verdict
     probability's quadrature error. A bound above QUADRATURE_TOLERANCE, or a
     verdict outside [0, 1] by more than rounding, raises ArithmeticError; an

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mesoscale.inference import (
     GRID_CHUNK,
     QUADRATURE_TOLERANCE,
     _CdfFamilies,
+    _conditional_orderings,
     _labelling_counts,
     classify_draws,
     classify_structure,
@@ -23,6 +25,7 @@ from mesoscale.inference import (
     membership_probabilities,
 )
 from mesoscale.model import (
+    BlockCounts,
     BlockProbs,
     Hyperparameters,
     block_counts,
@@ -333,6 +336,78 @@ LOOP_PRIORS = [
                     pi=0.5),
 ]
 LOOP_PRIOR_IDS = ["pi-0.5", "pi-0.2", "pi-0.7", "asymmetric-shapes"]
+
+
+def key_counts(g):
+    """The block counts of the oracle's keys (n1, M11, M22) on g."""
+    n1, M11, M22 = np.unique(np.stack(_labelling_counts(g)).astype(np.int64), axis=1)
+    return BlockCounts.of(M11, g.m - M11 - M22, M22, n1, g.n - n1)
+
+
+def integrated_rows(monkeypatch):
+    """The row count of every per-row sum np.einsum takes from here on."""
+    rows = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        rows.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return rows
+
+
+ORBIT_GRAPH = generate_sbm(GeneratorSpec(n=14, sizes=(6, 8), p=BlockProbs(0.7, 0.3, 0.2),
+                                         seed=13))[0]
+
+
+@pytest.mark.parametrize("h", [
+    Hyperparameters.uniform(),
+    Hyperparameters(a0_11=2, b0_11=0.5, a0_12=1, b0_12=3, a0_22=2, b0_22=0.5, pi=0.3),
+], ids=["uniform", "equal-within-shapes"])
+def test_each_exchange_orbit_is_integrated_once(h, monkeypatch):
+    """With equal 11 and 22 shapes, key (n1, M11, M22) and its image under the
+    group exchange, (n - n1, M22, M11), are integrated as one orbit: the
+    quadrature's sums run over (keys + keys that are their own image) / 2
+    rows, and a key and its image get bit-identical results."""
+    counts = key_counts(ORBIT_GRAPH)
+    keys = list(zip(counts.n1.tolist(), counts.M11.tolist(), counts.M22.tolist()))
+    index = {key: i for i, key in enumerate(keys)}
+    image = np.array([index[ORBIT_GRAPH.n - n1, M22, M11] for n1, M11, M22 in keys])
+    own = np.count_nonzero(image == np.arange(len(keys)))
+    rows = integrated_rows(monkeypatch)
+    results = _conditional_orderings(counts, h, 4097)
+    assert set(rows) == {(len(keys) + own) // 2}
+    for q in results:
+        assert np.array_equal(q, q[image])
+
+
+def test_unequal_within_shapes_fold_no_keys(monkeypatch):
+    """With unequal 11 and 22 shapes a key and its image have different
+    within-group CDFs, so every key is integrated on its own."""
+    counts = key_counts(ORBIT_GRAPH)
+    rows = integrated_rows(monkeypatch)
+    _conditional_orderings(counts, LOOP_PRIORS[3], 4097)
+    assert set(rows) == {len(counts.M11)}
+
+
+def test_oracle_memory_does_not_grow_past_the_grid():
+    """Nothing but the float64 grid and one temporary, the 16 bytes a point
+    that require_quadrature charges, grows with the grid: from 4097 to
+    262145 points the traced peak grows by less than 32 bytes a point."""
+    g = generate_sbm(GeneratorSpec(n=10, sizes=(4, 6), p=BlockProbs(0.7, 0.3, 0.2),
+                                   seed=13))[0]
+    h = Hyperparameters.uniform()
+    exact_structure_posterior(g, h)  # imports and caches outside the trace
+    grids, peaks = (4097, 2**18 + 1), []
+    for points in grids:
+        tracemalloc.start()
+        try:
+            exact_structure_posterior(g, h, quadrature_points=points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 32 * (grids[1] - grids[0])
 
 
 class TestExactStructurePosterior:
