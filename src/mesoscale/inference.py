@@ -20,10 +20,10 @@ from .model import BlockCounts, Hyperparameters, log_marginal_likelihood
 from .sampler import PosteriorSamples, require_memory
 
 ENUMERATION_LIMIT = 18
-# grid points tabulated at once: keeps the Beta tables and per-orbit terms at
-# (rows x 64) instead of (rows x quadrature points), and every sum, the error
-# bound's too, takes its terms chunk by chunk, so past the grid itself (see
-# require_quadrature) memory does not grow with the grid
+# grid points tabulated at once: the Beta tables and per-orbit terms stay at
+# (rows x 64), not (rows x quadrature points), and every sum, the error bound's
+# too, adds its terms chunk by chunk, so only the grid itself grows with the
+# quadrature points (see require_quadrature)
 GRID_CHUNK = 64
 # the largest quadrature error bound the oracle reports; past it a verdict is
 # too loose to check an MCMC verdict against
@@ -237,17 +237,15 @@ def _conditional_orderings(
     half of that bounds the error of either probability and of their sum. Per
     chunk of cells the sum is at most the largest dF12 times the chunk's rise
     of F11 + F22, and the bound returned adds these chunk by chunk, keeping
-    only F11 + F22 at the last chunk's end. All three CDFs come from
+    only F11 + F22 at the previous chunk's end. All three CDFs come from
     _CdfFamilies: blocks 11 and 22 share one table, p12 has its own.
 
-    Both integrands are symmetric in F11 and F22, so two sets of counts with
-    the same p12 row and the same two within-group rows, in either order,
-    have the same three sums. The group exchange maps (n1, M11, M22) to
-    (n - n1, M22, M11), which is such a pair whenever the 11 and 22 shapes
-    are equal. Each such orbit is integrated once; since IEEE products and
-    sums of two terms commute exactly, its results are bit for bit those of
-    each of its members. Under unequal shapes the 11 and 22 rows come from
-    different families, and every orbit holds one set of counts.
+    Both integrands are symmetric in F11 and F22. Under equal 11 and 22
+    shapes the group exchange's image of (n1, M11, M22), (n - n1, M22, M11),
+    has the same p12 row and the two within-group rows swapped, so each
+    orbit (p12 row, lower and higher within row) is integrated once. IEEE
+    products and two-term sums commute, so its results are bit for bit each
+    member's. Under unequal shapes the two rows lie in different families.
     """
     (a11, b11), (a12, b12), (a22, b22) = h.shapes
     keys = len(counts.M11)
@@ -256,7 +254,7 @@ def _conditional_orderings(
                           np.concatenate([counts.M11, counts.M22]))
     r11, r22 = np.split(within.rows, 2)
     cross = _CdfFamilies(a12, b12, counts.m12, counts.M12)
-    # an orbit is (p12 row, lower within row, higher within row), packed
+    # each key's orbit, packed into one integer as the keys are
     size = within.depth * within.families
     orbits, orbit_of = np.unique(
         (cross.rows * size + np.minimum(r11, r22)) * size + np.maximum(r11, r22),
@@ -307,10 +305,8 @@ def exact_structure_posterior(
     once and times the number of vectors that share it. Each key has its
     conditional ordering probabilities, integrated against p12's CDF on
     `quadrature_points` (at least 3) grid points of [0, 1] graded toward both
-    ends, with the CDFs from _CdfFamilies. A key and its image under the
-    group exchange, (n - n1, M22, M11), have the same integrals when the 11
-    and 22 shapes are equal, so each such pair is integrated once, with
-    bit-identical results (see _conditional_orderings).
+    ends, with the CDFs from _CdfFamilies, once per orbit of the group
+    exchange (see _conditional_orderings).
     Returns the verdict and quadrature_error, a bound on each verdict
     probability's quadrature error. A bound above QUADRATURE_TOLERANCE, or a
     verdict outside [0, 1] by more than rounding, raises ArithmeticError; an
