@@ -22,12 +22,8 @@ from .sampler import (
     ChainConfig,
     ChainState,
     PosteriorSamples,
-    exchange_groups,
-    gibbs_update_probs,
-    init_chain,
-    label_sweep,
+    chain_states,
     run_chain,
-    sweep_draws,
 )
 from .synth import GeneratorSpec, SweepSpec, generate_sbm, run_sweep
 
@@ -46,20 +42,16 @@ __all__ = [
     "StructureVerdict",
     "SweepSpec",
     "block_counts",
+    "chain_states",
     "classify_structure",
     "coassignment_matrix",
     "density_summary",
     "exact_structure_posterior",
-    "exchange_groups",
     "generate_sbm",
-    "gibbs_update_probs",
     "group_size_posterior",
-    "init_chain",
-    "label_sweep",
     "log_marginal_likelihood",
     "membership_probabilities",
     "parse_edge_list",
     "run_chain",
     "run_sweep",
-    "sweep_draws",
 ]

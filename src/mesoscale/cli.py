@@ -37,9 +37,8 @@ PAPER_GRID = tuple(np.linspace(0.05, 0.25, 9).round(4).tolist())
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the contract here is 1
+    # argparse prints its usage and exits 2; the contract is one line and 1
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -118,13 +117,13 @@ def _load_graph(args) -> tuple[Graph, str]:
         raise ValueError("an edge-list path or --dataset is required")
     try:
         text = Path(args.path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {args.path}: {exc}") from exc
     node_list = None
     if args.nodes:
         try:
             lines = Path(args.nodes).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphParseError(f"cannot read {args.nodes}: {exc}") from exc
         node_list = []
         for lineno, line in enumerate(lines, start=1):

@@ -35,9 +35,9 @@ loops count only n1, M11 and D1, the degree sum of group 1, which a flip of
 i moves by +-1, +-d1 and +-deg_i; BlockCounts.of_group1 derives the rest.
 
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
-state, so exchange_groups returns at once. run_chain keeps each retained
-state as it comes, p and the raw flags (n + 24 bytes a draw), and after the
-last chain names the groups so p11 >= p22 and builds every tally at once.
+state, so exchange_groups returns at once. run_chain copies p and the raw
+flags (n + 24 bytes a draw) of each state chain_states yields, then names the
+groups so p11 >= p22 and builds every tally at once.
 
 The co-assignment tally counts, for each node pair, the R retained draws
 with c_i == c_j. With y = 2x - 1 the +-1 form of a draw's group-1 flags x,
@@ -65,8 +65,6 @@ An iteration on dolphins (62 nodes, 66 sweeps a block, 5% of flips accepted)
 takes about 25 us: the proposal loop about 0.3 us a proposal, the sweep's own
 fixed work about 5 us (the logs of p, b, the lists it loops over), its share
 of a block's draws about 3 us, the Gibbs draw's three Beta draws 4 us.
-label_sweep, and so every next() of its draws, runs under run_chain's
-np.errstate, entered once per chain, which silences log 0's divide warning.
 
 On a large graph few flips are accepted, and screened_sweep makes the same
 decisions while visiting few proposals. Between two accepted flips the state
@@ -189,7 +187,7 @@ class ChainState:
     number of node i's neighbours in group 1. The sweep and the exchange
     update both in place; counts is a cache kept consistent with them.
     sweep_flips, the last label sweep's accepted flips, chooses how the next
-    sweep runs (label_sweep).
+    sweep runs (label_sweep); flips_after_burn_in sums them after burn-in.
     """
 
     flags: bytearray
@@ -197,6 +195,7 @@ class ChainState:
     p: BlockProbs
     counts: BlockCounts
     sweep_flips: int | None = None  # None before a chain's first sweep
+    flips_after_burn_in: int = 0
 
     @classmethod
     def of(cls, g: Graph, c: np.ndarray, p: BlockProbs) -> "ChainState":
@@ -264,14 +263,15 @@ def sweep_draws(rng: np.random.Generator, g: Graph) -> Iterator[SweepDraw]:
     """Endless draws for the label sweeps, one (order, degrees, log_us) per
     sweep: a uniform permutation of range(n), g.degree_array[order], and the
     logs of n fresh uniforms, each an array row. Made for
-    max(1, SWEEP_BLOCK // n) sweeps at a time (module docstring); log 0 warns
-    outside np.errstate.
+    max(1, SWEEP_BLOCK // n) sweeps at a time (module docstring). Only the
+    log holds np.errstate: held across a yield, it would leak into the caller.
     """
     n = g.n
     rows = np.broadcast_to(np.arange(n), (max(1, SWEEP_BLOCK // n), n))
     while True:
         orders = rng.permuted(rows, axis=1)
-        log_us = np.log(rng.random(rows.shape))
+        with np.errstate(divide="ignore"):
+            log_us = np.log(rng.random(rows.shape))
         yield from zip(orders, g.degree_array[orders], log_us)
 
 
@@ -502,20 +502,40 @@ def require_memory(need: float, what: str) -> None:
         )
 
 
+def chain_states(
+    g: Graph, h: Hyperparameters, cfg: ChainConfig, chain_index: int
+) -> Iterator[ChainState]:
+    """Run chain chain_index of cfg from init_chain on its own chain_rng, and
+    yield its state at each of the cfg.retained_per_chain retained iterations
+    (after burn_in, every thin-th). Each yield is the chain's one ChainState,
+    changed in place by the next iteration: copy what you keep. Once the
+    generator ends, state.flips_after_burn_in counts every flip after burn-in.
+    """
+    rng = chain_rng(cfg.seed, chain_index)
+    state = init_chain(g, h, cfg, rng)
+    sweeps = sweep_draws(rng, g)
+    for it in range(-cfg.burn_in, cfg.total_samples - cfg.burn_in):
+        _, accepted = label_sweep(state, g, h, sweeps)
+        gibbs_update_probs(state, h, rng)
+        exchange_groups(state, g, h, rng)
+        if it >= 0:
+            state.flips_after_burn_in += accepted
+            if (it + 1) % cfg.thin == 0:
+                yield state
+
+
 def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSamples:
     """Run cfg.chains independent chains and pool their retained draws.
 
-    Per chain: init, then total_samples iterations of (label sweep, Gibbs
-    update, group exchange), keeping p and the flags of every thin-th state
-    after burn_in. The kept states are then named so p11 >= p22 and tallied
-    at once; with cfg.coassign that includes the float32 co-assignment tally
-    of exact counts (module docstring). Kept states (24 + n bytes each) or a
-    co-assignment tally (4 n^2 bytes) beyond physical memory are refused
-    (ValueError) before the first chain.
+    chain_states runs each chain, and sweep_draws holds the error state of
+    its logs. This copies p and the flags of every state yielded, then names
+    the groups so p11 >= p22 and tallies at once, with cfg.coassign the
+    float32 co-assignment tally of exact counts (module docstring). Kept
+    states (24 + n bytes each) or a co-assignment tally (4 n^2 bytes) beyond
+    physical memory are refused (ValueError) before the first chain.
     """
     n = g.n
-    retained_per_chain = cfg.retained_per_chain
-    total_retained = retained_per_chain * cfg.chains
+    total_retained = cfg.retained_per_chain * cfg.chains
 
     if cfg.coassign:
         require_memory(4 * n * n, f"co-assignment tally for n={n}")
@@ -526,23 +546,12 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     pos = 0
 
     for chain_index in range(cfg.chains):
-        rng = chain_rng(cfg.seed, chain_index)
-        state = init_chain(g, h, cfg, rng)
-        accepted_post = 0
-        with np.errstate(divide="ignore"):  # the sweep's log u at u == 0
-            sweeps = sweep_draws(rng, g)
-            for it in range(cfg.total_samples):
-                _, accepted = label_sweep(state, g, h, sweeps)
-                gibbs_update_probs(state, h, rng)
-                exchange_groups(state, g, h, rng)
-                if it < cfg.burn_in:
-                    continue
-                accepted_post += accepted
-                if (it - cfg.burn_in + 1) % cfg.thin == 0:
-                    draws[pos] = state.p
-                    kept[pos * n:(pos + 1) * n] = state.flags
-                    pos += 1
-        chain_acceptance.append(accepted_post / (n * (cfg.total_samples - cfg.burn_in)))
+        for state in chain_states(g, h, cfg, chain_index):
+            draws[pos] = state.p
+            kept[pos * n:(pos + 1) * n] = state.flags
+            pos += 1
+        chain_acceptance.append(  # state as the chain's last iteration left it
+            state.flips_after_burn_in / (n * (cfg.total_samples - cfg.burn_in)))
 
     assert pos == total_retained
     # name group 1 the group with p11 >= p22 in every draw
@@ -574,7 +583,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         size_tally=np.bincount(x.sum(axis=1, dtype=np.int64), minlength=n + 1),
         swap_acceptance_rate=float(np.mean(chain_acceptance)),
         retained=total_retained,
-        chain_sizes=(retained_per_chain,) * cfg.chains,
+        chain_sizes=(cfg.retained_per_chain,) * cfg.chains,
         chain_acceptance=tuple(chain_acceptance),
         coassign_tally=coassign,
     )

@@ -127,9 +127,10 @@ def numpy_exchange_groups(state, g, h, rng):
 
 def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
     """run_chain on NumpyState with the reference sweep and exchange, each
-    retained draw tallied on its own (co-assignment always, as int64)."""
+    retained draw tallied on its own (co-assignment always, as int64). Also
+    returns the retained states unfolded, as (p, labels) in chain order."""
     n = g.n
-    draws, label_tally = [], np.zeros(n, dtype=np.int64)
+    states, draws, label_tally = [], [], np.zeros(n, dtype=np.int64)
     size_tally = np.zeros(n + 1, dtype=np.int64)
     coassign = np.zeros((n, n), dtype=np.int64)
     chain_acceptance = []
@@ -147,6 +148,7 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
                 continue
             accepted_post += accepted
             if (it - cfg.burn_in + 1) % cfg.thin == 0:
+                states.append((state.p, state.c.copy()))
                 fold = state.p.p11 < state.p.p22
                 draws.append(state.p[::-1] if fold else state.p)
                 in1 = state.c == 1 + fold
@@ -158,7 +160,7 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
     return {
         "draws": np.array(draws), "label_tally": label_tally,
         "size_tally": size_tally, "coassign_tally": coassign,
-        "chain_acceptance": tuple(chain_acceptance),
+        "chain_acceptance": tuple(chain_acceptance), "states": states,
     }
 
 

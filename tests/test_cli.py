@@ -1,11 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesoscale import cli
 from mesoscale.cli import main
@@ -722,3 +729,155 @@ def test_only_the_oracle_imports_scipy(tmp_path):
                           capture_output=True, text=True, env=PROC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[True, False, False]"]
+
+
+
+@pytest.mark.parametrize("bad_file", ["edges", "nodes"])
+@pytest.mark.parametrize("command", [["analyze", "--samples", "30", "--burn-in", "10"],
+                                     ["oracle"]], ids=["analyze", "oracle"])
+def test_input_that_is_not_utf8_is_data_error(command, bad_file, monkeypatch,
+                                              capsys, tmp_path):
+    """A 0xff byte in the edge list or the --nodes sidecar exits 2 with one
+    line naming the file, before any work."""
+    for name in ("run_chain", "exact_structure_posterior"):
+        monkeypatch.setattr(cli, name, None)  # must not be reached
+    files = {"edges": b"a b\n", "nodes": b"a\nb\n"}
+    files[bad_file] += b"\xff\n"
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_cli(*command, str(tmp_path / "edges"),
+                   "--nodes", str(tmp_path / "nodes")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {tmp_path / bad_file}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
+# The exit-code promise as a property: tiny inputs and option values from
+# boundary sets, each run twice in-process.
+NAMES = ("a", "b", "c", "d", "e")
+EDGE_LINES = st.one_of(  # duplicates too, in either orientation
+    st.lists(st.sampled_from(NAMES), min_size=2, max_size=2, unique=True).map(
+        lambda uv: " ".join(uv).encode()),
+    st.sampled_from([b"# comment", b"", b"b a\r"]),
+)
+BAD_LINES = (b"c c", b"a", b"a b c", b"\xff b")
+SIDECAR_LINES = st.lists(st.sampled_from([b"a", b"f", b"g", b""]), max_size=3)
+BAD_SIDECAR_LINES = (b"f g", b"\xfe", b"a")
+PRIOR_OPTIONS = {
+    "--pi": ["0.2", "0.7", "1e-300", "0", "1", "nan", "-inf"],
+    "--a0": ["0.5", "3", "1e-300", "1e300", "0", "-1", "nan", "inf"],
+    "--b0": ["0.3", "1e300"], "--a0-12": ["2", "1e-300"], "--b0-22": ["2", "1e300"],
+}
+OPTIONS = {  # the first value of each list is drawn most often
+    "analyze": {
+        "--samples": ["12", "2", "1", "0"], "--burn-in": ["3", "0", "1", "-1"],
+        "--thin": ["3", "20", "0"], "--chains": ["2", "0"], "--seed": ["7", "-1"],
+        "--init": ["degree"], "--bins": ["2", "5", "1", "0"], "--format": ["csv"],
+        **PRIOR_OPTIONS,
+    },
+    "oracle": {"--quad-points": ["3", "17", "2", "0"], **PRIOR_OPTIONS},
+    "generate": {
+        "--n": ["6", "1", "2", "0", "-1"], "--p11": ["0.5", "0", "1", "nan"],
+        "--p12": ["0.3", "0", "1.5"], "--p22": ["0.2", "1", "-0.1"],
+        "--frac": ["0", "1", "1.5"], "--sizes": ["2,4", "0,6", "1,1", "=-1,7", "3"],
+        "--seed": ["3", "-1"],
+    },
+    "simulate": {
+        "--n": ["6", "1", "2", "0"], "--grid": ["0.1", "0,1", "0:0.2:0.1", "0.1,0.1",
+                                                "nan", "0.9:1.2:0.1"],
+        "--replicates": ["2", "1", "0"], "--samples": ["6", "2", "0"],
+        "--burn-in": ["1", "0", "5", "-1"], "--p11": ["0", "1", "nan"],
+        "--p22": ["0.5", "1.5"], "--frac": ["0", "1"], "--seed": ["4", "-1"],
+    },
+}
+REQUIRED = {  # each run stays short: no default chain, sweep or graph size
+    "analyze": ("--samples", "--burn-in"), "oracle": (),
+    "generate": ("--n", "--p11", "--p12", "--p22"),
+    "simulate": ("--n", "--grid", "--replicates", "--samples", "--burn-in"),
+}
+OUTPUTS = {"analyze": ("--out", "--emit-traces", "--emit-densities"),
+           "oracle": ("--out",), "generate": ("--out",),
+           "simulate": ("--out", "--raw-out")}
+NON_FINITE = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def with_one_bad_line(draw, lines, bad_lines) -> bytes:
+    """Lines drawn from a strategy, and in a third of the files one bad line."""
+    lines = draw(lines)
+    bad = draw(st.sampled_from((None,) * 2 * len(bad_lines) + bad_lines))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return b"\n".join(lines)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv without files, edge-list bytes, sidecar bytes or None, output
+    options): the required options and at most two others."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    values, required = OPTIONS[command], REQUIRED[command]
+    chosen = required + tuple(draw(st.lists(st.sampled_from(
+        [option for option in values if option not in required]),
+        max_size=2, unique=True)))
+    argv = [command]
+    for option in chosen:
+        value = draw(st.sampled_from(values[option][:1] * 4 + values[option]))
+        # "=-1,7" reaches the option; a separate "-1,7" reads as an option
+        argv += [option + value] if value.startswith("=") else [option, value]
+    if command == "analyze" and draw(st.booleans()):
+        argv.append("--coassign")
+    edges = with_one_bad_line(draw, st.lists(EDGE_LINES, min_size=1, max_size=6),
+                              BAD_LINES)
+    sidecar = None
+    if draw(st.sampled_from([False, False, True])):
+        sidecar = with_one_bad_line(draw, SIDECAR_LINES, BAD_SIDECAR_LINES)
+    outputs = draw(st.lists(st.sampled_from(OUTPUTS[command]), unique=True))
+    return argv, edges, sidecar, outputs
+
+
+def run_in_process(argv: list[str], outdir) -> tuple[int, str, bytes]:
+    """main(argv) as (exit code, stderr, stdout and every file it wrote),
+    with the files removed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out = stdout.getvalue().encode()
+    for path in sorted(outdir.iterdir()):
+        out += b"\0" + path.name.encode() + b"\0" + path.read_bytes()
+        path.unlink()
+    return code, stderr.getvalue(), out
+
+
+@given(cli_calls())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_every_input_runs_or_exits_with_one_documented_line(call):
+    """Exit 0, 1, 2 or 3; a nonzero exit prints one stderr line and no
+    traceback; no output holds NaN or infinity; a second run of the same
+    arguments writes the same bytes."""
+    argv, edges, sidecar, outputs = call
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, outdir = pathlib.Path(tmp, "in"), pathlib.Path(tmp, "out")
+        inputs.mkdir()
+        outdir.mkdir()
+        if argv[0] in ("analyze", "oracle"):
+            (inputs / "edges").write_bytes(edges)
+            argv = [*argv, str(inputs / "edges")]
+            if sidecar is not None:
+                (inputs / "nodes").write_bytes(sidecar)
+                argv += ["--nodes", str(inputs / "nodes")]
+        if argv[0] == "generate" and "--out" not in outputs:
+            outputs = ["--out", *outputs]  # else it writes to the working directory
+        for option in outputs:
+            argv += [option, str(outdir / option.lstrip("-"))]
+        code, err, out = run_in_process(argv, outdir)
+        again = run_in_process(argv, outdir)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert "Traceback" not in err
+    assert not NON_FINITE.search(out), (argv, out)
+    # analyze's closing stderr line holds the wall time
+    assert again[::2] == (code, out) and (not code or again[1] == err), argv

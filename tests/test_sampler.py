@@ -23,6 +23,7 @@ from mesoscale.sampler import (
     ChainConfig,
     ChainState,
     chain_rng,
+    chain_states,
     exchange_groups,
     gibbs_update_probs,
     init_chain,
@@ -494,11 +495,10 @@ class ZeroFirstUniform:
 
 class TestRunChain:
     def test_uniform_of_zero_is_accepted_without_a_warning(self, monkeypatch):
-        """log 0 = -inf in the sweep draws is silenced by run_chain's
+        """log 0 = -inf in the sweep draws is silenced by sweep_draws'
         errstate, and the proposal it decides, the first in visiting order,
         is accepted. The chain spans three blocks of draws, and u = 0 opens
-        every sweep of each, so the errstate covers every next() that draws
-        a block and every sweep that reads one."""
+        every sweep of each, so the errstate covers the log of every block."""
         g = load_dataset("karate")
         h = Hyperparameters.uniform()
         k = sampler.SWEEP_BLOCK // g.n  # sweeps per block
@@ -643,6 +643,62 @@ class TestMatchesNumpyStateReference:
         assert np.array_equal(s.size_tally, ref["size_tally"])
         assert np.array_equal(s.coassign_tally, ref["coassign_tally"])
         assert s.chain_acceptance == ref["chain_acceptance"]
+
+
+class TestChainStates:
+    """chain_states against numpy_run_chain's own loop, and against what
+    run_chain tallies from it."""
+
+    G = load_dataset("karate")
+    # 90 post-burn-in iterations, 12 retained at thin 7: 6 run after the last
+    CFG = ChainConfig(total_samples=100, burn_in=10, thin=7, chains=2, seed=11)
+
+    @pytest.mark.parametrize("h", [Hyperparameters.uniform(), karate_prior(
+        (3.0, 1.0, 0.5), (1.0, 2.0, 2.0), 0.7)], ids=["uniform", "asymmetric"])
+    def test_yields_the_retained_states_run_chain_tallies(self, h):
+        g, cfg = self.G, self.CFG
+        per_chain = [[(state.p, bytes(state.flags))
+                      for state in chain_states(g, h, cfg, chain_index)]
+                     for chain_index in range(cfg.chains)]
+        assert [len(states) for states in per_chain] == [12, 12]
+        ps, flags = zip(*itertools.chain(*per_chain))
+        ref = numpy_run_chain(g, h, cfg)
+        assert ps == tuple(p for p, _ in ref["states"])
+        x = np.frombuffer(b"".join(flags), dtype=np.uint8).reshape(24, g.n)
+        assert np.array_equal(x, np.array([c == 1 for _, c in ref["states"]]))
+        s = run_chain(g, h, cfg)
+        fold = np.array([p.p11 < p.p22 for p in ps])
+        assert np.array_equal(s.draws, [p[::-1] if f else p for p, f in zip(ps, fold)])
+        x = x ^ fold[:, None]
+        assert np.array_equal(s.label_tally, x.sum(axis=0))
+        assert np.array_equal(s.size_tally, np.bincount(x.sum(axis=1), minlength=g.n + 1))
+
+    def test_acceptance_counts_the_flips_after_the_last_retained_draw(self):
+        g, cfg = self.G, self.CFG
+        h = Hyperparameters.uniform()
+        ref = numpy_run_chain(g, h, cfg)["chain_acceptance"]
+        for chain_index in range(cfg.chains):
+            for state in chain_states(g, h, cfg, chain_index):
+                at_last_draw = state.flips_after_burn_in
+            assert state.flips_after_burn_in > at_last_draw
+            assert state.flips_after_burn_in / (g.n * 90) == ref[chain_index]
+        assert run_chain(g, h, cfg).chain_acceptance == ref
+
+    @pytest.mark.parametrize("divide", ["warn", "raise"])  # numpy's default, and not
+    def test_caller_error_state_is_untouched(self, divide):
+        """The sweeps' errstate is held only around a log inside next(), so
+        the caller's error state holds between next() calls and after an
+        early close()."""
+        with np.errstate(divide=divide):
+            errors = np.geterr()
+            states = chain_states(self.G, Hyperparameters.uniform(), self.CFG, 0)
+            assert np.geterr() == errors
+            next(states)
+            assert np.geterr() == errors
+            next(states)
+            assert np.geterr() == errors
+            states.close()
+            assert np.geterr() == errors
 
 
 class ZeroSomeUniforms:
