@@ -5,7 +5,6 @@ from .graph import Graph, GraphParseError, parse_edge_list
 from .inference import (
     StructureVerdict,
     classify_structure,
-    coassignment_matrix,
     density_summary,
     exact_structure_posterior,
     group_size_posterior,
@@ -44,7 +43,6 @@ __all__ = [
     "block_counts",
     "chain_states",
     "classify_structure",
-    "coassignment_matrix",
     "density_summary",
     "exact_structure_posterior",
     "generate_sbm",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error or out of memory, 2 data error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -37,6 +38,11 @@ PAPER_GRID = tuple(np.linspace(0.05, 0.25, 9).round(4).tolist())
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-inf", "-1e-3" and "-3,19" as values, not as unknown options
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse prints its usage and exits 2; the contract is one line and 1
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -71,14 +77,11 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--thin", type=int, default=1, help="retain every thin-th draw")
     p.add_argument("--chains", type=int, default=1, help="independent chains to pool")
     p.add_argument("--seed", type=_bounded(0), default=0, help="RNG seed")
-    p.add_argument("--init", choices=("random", "degree"), default="random",
-                   help="label initialization")
     p.add_argument("--coassign", action="store_true",
                    help="tally pairwise co-assignment as float32 exact counts "
                         "(4*n^2 bytes, at most 2**23 retained draws in all "
                         "chains); the report only echoes this setting, "
-                        "the matrix is reachable through "
-                        "mesoscale.coassignment_matrix")
+                        "the tally is run_chain(...).coassign_tally")
 
 
 def _bounded(low, high=None, cast=int):
@@ -166,8 +169,7 @@ def cmd_analyze(args) -> int:
     h = _hyper_from_args(args)
     cfg = ChainConfig(
         total_samples=args.samples, burn_in=args.burn_in, thin=args.thin,
-        seed=args.seed, chains=args.chains, coassign=args.coassign,
-        init="random_labels" if args.init == "random" else "degree_split")
+        seed=args.seed, chains=args.chains, coassign=args.coassign)
     require_bins(args.bins)
     g, source = _load_graph(args)
     # each of the three density histograms keeps a float64 edge and mass per

@@ -59,12 +59,9 @@ def classify_structure(samples: PosteriorSamples) -> StructureVerdict:
         raise ValueError("no retained draws to classify")
     cats = classify_draws(samples.draws)
     per_chain = None
-    if len(samples.chain_sizes) > 1:
-        bounds = np.cumsum((0,) + samples.chain_sizes)
-        per_chain = tuple(
-            tuple(np.bincount(cats[a:b], minlength=3) / (b - a))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        )
+    if len(samples.chain_acceptance) > 1:  # every chain retains as many draws
+        per_chain = tuple(tuple(np.bincount(chain, minlength=3) / len(chain))
+                          for chain in np.split(cats, len(samples.chain_acceptance)))
     counts = np.bincount(cats, minlength=3)
     pa, pcp, pd = counts / samples.retained
     return StructureVerdict(
@@ -79,22 +76,6 @@ def classify_structure(samples: PosteriorSamples) -> StructureVerdict:
 def membership_probabilities(samples: PosteriorSamples) -> np.ndarray:
     """Per-node posterior probability of group 1, the group with p11 >= p22."""
     return samples.label_tally / samples.retained
-
-
-def membership_by_name(samples: PosteriorSamples, g: Graph) -> dict[str, float]:
-    probs = membership_probabilities(samples)
-    return {g.names[i]: float(probs[i]) for i in range(g.n)}
-
-
-def coassignment_matrix(samples: PosteriorSamples) -> np.ndarray:
-    """Posterior probability that each node pair shares a group, as float64
-    (the float32 tally of exact counts divided in float64)."""
-    if samples.coassign_tally is None:
-        raise ValueError(
-            "co-assignment tallying was not enabled for this run; "
-            "rerun with coassign=True (CLI: --coassign)"
-        )
-    return np.divide(samples.coassign_tally, samples.retained, dtype=np.float64)
 
 
 def group_size_posterior(samples: PosteriorSamples) -> np.ndarray:

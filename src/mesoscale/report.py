@@ -13,8 +13,10 @@ import io
 import json
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from .graph import Graph
-from .inference import StructureVerdict, group_size_posterior, membership_by_name
+from .inference import StructureVerdict, group_size_posterior, membership_probabilities
 from .model import Hyperparameters
 from .sampler import ChainConfig, PosteriorSamples
 
@@ -55,10 +57,10 @@ def build_analysis_report(
             "chain": asdict(cfg),
         },
         "verdict": asdict(verdict),
-        "membership": membership_by_name(samples, g),
+        "membership": dict(zip(g.names, membership_probabilities(samples).tolist())),
         "group_size_posterior": group_size_posterior(samples).tolist(),
         "density": density,
-        "swap_acceptance_rate": samples.swap_acceptance_rate,
+        "swap_acceptance_rate": float(np.mean(samples.chain_acceptance)),
     }
     if duration_seconds is not None:
         report["duration_seconds"] = duration_seconds

@@ -126,7 +126,6 @@ from .model import (
     posterior_shapes,
 )
 
-INIT_MODES = ("random_labels", "degree_split")
 TALLY_BLOCK = 32  # retained draws per co-assignment BLAS update
 MIRROR_BLOCK = 256  # tile side of the tally's upper-to-lower mirror
 COASSIGN_MAX_DRAWS = 2**23  # float32 holds the tally's half-counts exactly up to here
@@ -147,7 +146,6 @@ class ChainConfig:
     burn_in: int = field(default=5000, metadata={"option": "--burn-in"})
     thin: int = field(default=1, metadata={"option": "--thin"})
     seed: int = 0
-    init: str = "random_labels"
     chains: int = field(default=1, metadata={"option": "--chains"})
     coassign: bool = field(default=False, metadata={"option": "--coassign"})
 
@@ -160,8 +158,6 @@ class ChainConfig:
         if self.burn_in >= self.total_samples:
             raise ValueError(f"{option(self, 'burn_in')} ({self.burn_in}) must be smaller "
                              f"than {option(self, 'total_samples')} ({self.total_samples})")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         if self.retained_per_chain == 0:
             raise ValueError(
                 f"no draws retained: {option(self, 'thin')} ({self.thin}) exceeds "
@@ -219,10 +215,9 @@ class PosteriorSamples:
     draws: np.ndarray                       # (retained, 3) of (p11, p12, p22)
     label_tally: np.ndarray                 # per-node count of draws in group 1
     size_tally: np.ndarray                  # histogram of the group-1 size, 0..n
-    swap_acceptance_rate: float             # mean label-flip acceptance, post-burn-in
-    retained: int
-    chain_sizes: tuple[int, ...] = (0,)
-    chain_acceptance: tuple[float, ...] = field(default=(), repr=False)
+    retained: int                           # in all, as many from each chain
+    # per chain, its label-flip acceptance after burn-in
+    chain_acceptance: tuple[float, ...] = field(repr=False)
     # float32 (n, n) exact counts of draws with c_i == c_j; 4*n^2 bytes, opt-in
     coassign_tally: np.ndarray | None = None
 
@@ -232,22 +227,11 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chain_index]))
 
 
-def init_chain(
-    g: Graph, h: Hyperparameters, cfg: ChainConfig, rng: np.random.Generator
-) -> ChainState:
-    """Draw the initial state from the chain's rng: p from its prior, then
-    labels per cfg.init.
-
-    random_labels draws each c_i from Bernoulli(pi); degree_split puts nodes
-    with degree >= the median degree in group 1 (ties go to group 1).
-    """
+def init_chain(g: Graph, h: Hyperparameters, rng: np.random.Generator) -> ChainState:
+    """Draw the initial state from the prior on the chain's rng: p, then each
+    node in group 1 with probability pi."""
     p = BlockProbs(*(rng.beta(a, b) for a, b in h.shapes))
-    if cfg.init == "random_labels":
-        c = np.where(rng.random(g.n) < h.pi, 1, 2).astype(np.int64)
-    else:
-        degrees = g.degree_array
-        c = np.where(degrees >= np.median(degrees), 1, 2).astype(np.int64)
-    return ChainState.of(g, c, p)
+    return ChainState.of(g, np.where(rng.random(g.n) < h.pi, 1, 2), p)
 
 
 def _logs(q: float) -> tuple[float, float]:
@@ -304,11 +288,8 @@ def label_sweep(
     flips = state.sweep_flips
     if (g.n >= SCREEN_MIN_NODES and flips is not None
             and flips * 2 * g.m <= SCREEN_MAX_MARKED * g.n * g.n):
-        max_degree = int(order_degrees.max())
-        slack = SCREEN_SLACK * (1.0 + g.n * (abs(v1) + abs(v2))
-                                + (abs(a) + abs(w2 - v2)) * max_degree + abs(h.log_odds))
-        state.sweep_flips = screened_sweep(state, g, order, bs, log_us, a, v1, v2,
-                                           slack, max_degree)
+        state.sweep_flips = screened_sweep(state, g, h, order, bs, log_us,
+                                           a, v1, v2, w2)
         return state, state.sweep_flips
 
     n, adjacency, degrees = g.n, g.adjacency, g.degrees
@@ -351,14 +332,13 @@ def label_sweep(
 
 
 def screened_sweep(
-    state: ChainState, g: Graph, order: np.ndarray, bs: np.ndarray,
-    log_us: np.ndarray, a: float, v1: float, v2: float, slack: float,
-    max_degree: int,
+    state: ChainState, g: Graph, h: Hyperparameters, order: np.ndarray,
+    bs: np.ndarray, log_us: np.ndarray, a: float, v1: float, v2: float, w2: float,
 ) -> int:
     """label_sweep's pass, evaluating only the proposals a screen cannot
     prove rejected (module docstring). Takes label_sweep's order, b in
-    visiting order, log u and terms a, v1, v2, the rounding slack and g's
-    largest degree; mutates ``state`` and returns the accepted-flip count.
+    visiting order, log u and terms a, v1, v2, w2; mutates ``state`` and
+    returns the accepted-flip count.
 
     A screen at position s computes every later proposal's margin, delta -
     log u, at the state it finds. cand marks the positions the walk must
@@ -375,6 +355,9 @@ def screened_sweep(
     k0 = -(n - n1 - 1) * v2 - n1 * v1
     accepted = 0
 
+    max_degree = int(g.degree_array.max())
+    slack = SCREEN_SLACK * (1.0 + n * (abs(v1) + abs(v2))
+                            + (abs(a) + abs(w2 - v2)) * max_degree + abs(h.log_odds))
     tolerance = SCREEN_DRIFT * abs(v1 - v2) + slack
     # any per_flip <= 1/|a| gives safe budgets; the floor keeps it finite
     per_flip = 1.0 / max(abs(a), tolerance / 256)
@@ -512,7 +495,7 @@ def chain_states(
     generator ends, state.flips_after_burn_in counts every flip after burn-in.
     """
     rng = chain_rng(cfg.seed, chain_index)
-    state = init_chain(g, h, cfg, rng)
+    state = init_chain(g, h, rng)
     sweeps = sweep_draws(rng, g)
     for it in range(-cfg.burn_in, cfg.total_samples - cfg.burn_in):
         _, accepted = label_sweep(state, g, h, sweeps)
@@ -581,9 +564,7 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
         draws=draws,
         label_tally=label_tally,
         size_tally=np.bincount(x.sum(axis=1, dtype=np.int64), minlength=n + 1),
-        swap_acceptance_rate=float(np.mean(chain_acceptance)),
         retained=total_retained,
-        chain_sizes=(cfg.retained_per_chain,) * cfg.chains,
         chain_acceptance=tuple(chain_acceptance),
         coassign_tally=coassign,
     )

@@ -136,7 +136,7 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
     chain_acceptance = []
     for chain_index in range(cfg.chains):
         rng = chain_rng(cfg.seed, chain_index)
-        init = sampler.init_chain(g, h, cfg, rng)
+        init = sampler.init_chain(g, h, rng)
         state = NumpyState(c=init.c, p=init.p, counts=init.counts)
         sweeps = sweep_draws(rng, g)
         accepted_post = 0

@@ -577,8 +577,9 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
     (GENERATE, ["--frac", "nan"], "argument --frac: must be in [0.0, 1.0]"),
     (GENERATE, ["--sizes=-3,19"],
      "error: --sizes (-3,19) must be nonnegative and sum to --n (10)"),
-    # argparse reads a value starting with '-' as an option
-    (GENERATE, ["--sizes", "-3,19"], "argument --sizes: expected one argument"),
+    # a value that starts with '-' reaches its option's own check
+    (GENERATE, ["--sizes", "-3,19"],
+     "error: --sizes (-3,19) must be nonnegative and sum to --n (10)"),
     (GENERATE, ["--sizes", "2,2"],
      "error: --sizes (2,2) must be nonnegative and sum to --n (10)"),
     (GENERATE, ["--p11", "1.5"], "error: --p11 must lie in [0, 1], got 1.5"),
@@ -597,9 +598,13 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
      "error: no draws retained: --thin (1000) exceeds --samples minus "
      "--burn-in (90)"),
     (ANALYZE, ["--pi", "1"], "error: --pi must lie strictly in (0, 1), got 1.0"),
+    (ANALYZE, ["--pi", "-inf"], "error: --pi must lie strictly in (0, 1), got -inf"),
+    (ANALYZE, ["--pi", "--a0", "1"], "argument --pi: expected one argument"),
     (ORACLE, ["--pi", "0"], "error: --pi must lie strictly in (0, 1), got 0.0"),
     (ANALYZE, ["--a0", "-1"],
      "error: --a0-11 (or --a0) must be finite and positive, got -1.0"),
+    (ANALYZE, ["--a0", "-1e-3"],
+     "error: --a0-11 (or --a0) must be finite and positive, got -0.001"),
     (ANALYZE, ["--b0-22", "inf"],
      "error: --b0-22 (or --b0) must be finite and positive, got inf"),
     (ORACLE, ["--a0-12", "0"],
@@ -615,14 +620,14 @@ def test_negative_seed_is_usage_error(command, monkeypatch, capsys, tmp_path):
         "sizes", "sizes-dash", "sizes-not-n", "generate-p11", "generate-p12-nan",
         "generate-p22", "simulate-p11", "simulate-p22-nan", "grid-value",
         "grid-nan", "grid-range-stop", "grid-range-repeats", "grid-list-repeats",
-        "thin-retains-nothing", "pi",
-        "oracle-pi", "a0", "b0-22", "oracle-a0-12", "b0", "coassign"])
+        "thin-retains-nothing", "pi", "pi-minus-inf", "pi-no-value",
+        "oracle-pi", "a0", "a0-exponent", "b0-22", "oracle-a0-12", "b0", "coassign"])
 def test_bad_value_names_the_option(command, option, message, monkeypatch,
                                     capsys, tmp_path):
     """Exit 1 before any work, with a message naming the option: argparse
-    rejects a value that does not parse and a bad --seed or --frac, the config
-    objects (ChainConfig, Hyperparameters, GeneratorSpec, SweepSpec) every
-    other value out of range."""
+    rejects a missing value, a value that does not parse and a bad --seed or
+    --frac, the config objects (ChainConfig, Hyperparameters, GeneratorSpec,
+    SweepSpec) every other value out of range, "-inf" and "-3,19" too."""
     for name in ("run_chain", "run_sweep", "generate_sbm", "_load_graph",
                  "exact_structure_posterior"):
         monkeypatch.setattr(cli, name, None)  # must not be reached
@@ -772,14 +777,14 @@ OPTIONS = {  # the first value of each list is drawn most often
     "analyze": {
         "--samples": ["12", "2", "1", "0"], "--burn-in": ["3", "0", "1", "-1"],
         "--thin": ["3", "20", "0"], "--chains": ["2", "0"], "--seed": ["7", "-1"],
-        "--init": ["degree"], "--bins": ["2", "5", "1", "0"], "--format": ["csv"],
+        "--bins": ["2", "5", "1", "0"], "--format": ["csv"],
         **PRIOR_OPTIONS,
     },
     "oracle": {"--quad-points": ["3", "17", "2", "0"], **PRIOR_OPTIONS},
     "generate": {
         "--n": ["6", "1", "2", "0", "-1"], "--p11": ["0.5", "0", "1", "nan"],
         "--p12": ["0.3", "0", "1.5"], "--p22": ["0.2", "1", "-0.1"],
-        "--frac": ["0", "1", "1.5"], "--sizes": ["2,4", "0,6", "1,1", "=-1,7", "3"],
+        "--frac": ["0", "1", "1.5"], "--sizes": ["2,4", "0,6", "1,1", "-1,7", "3"],
         "--seed": ["3", "-1"],
     },
     "simulate": {
@@ -822,8 +827,7 @@ def cli_calls(draw):
     argv = [command]
     for option in chosen:
         value = draw(st.sampled_from(values[option][:1] * 4 + values[option]))
-        # "=-1,7" reaches the option; a separate "-1,7" reads as an option
-        argv += [option + value] if value.startswith("=") else [option, value]
+        argv += [option, value]
     if command == "analyze" and draw(st.booleans()):
         argv.append("--coassign")
     edges = with_one_bad_line(draw, st.lists(EDGE_LINES, min_size=1, max_size=6),
@@ -878,6 +882,8 @@ def test_every_input_runs_or_exits_with_one_documented_line(call):
     if code:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         assert "Traceback" not in err
+        # every drawn option was given a value, "-inf" and "-1" too
+        assert "expected one argument" not in err, (argv, err)
     assert not NON_FINITE.search(out), (argv, out)
     # analyze's closing stderr line holds the wall time
     assert again[::2] == (code, out) and (not code or again[1] == err), argv

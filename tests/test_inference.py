@@ -18,7 +18,6 @@ from mesoscale.inference import (
     _labelling_counts,
     classify_draws,
     classify_structure,
-    coassignment_matrix,
     density_summary,
     exact_structure_posterior,
     group_size_posterior,
@@ -37,20 +36,16 @@ from mesoscale.synth import GeneratorSpec, generate_sbm
 from reference import log_prior_labels
 
 
-def samples_from_draws(draws, n_nodes=4, label_tally=None, size_tally=None,
-                       coassign=None):
+def samples_from_draws(draws, n_nodes=4, label_tally=None, size_tally=None):
     draws = np.asarray(draws, dtype=float)
-    r = len(draws)
     return PosteriorSamples(
         draws=draws,
         label_tally=np.zeros(n_nodes, dtype=np.int64)
         if label_tally is None else np.asarray(label_tally),
         size_tally=np.zeros(n_nodes + 1, dtype=np.int64)
         if size_tally is None else np.asarray(size_tally),
-        swap_acceptance_rate=0.5,
-        retained=r,
-        chain_sizes=(r,),
-        coassign_tally=coassign,
+        retained=len(draws),
+        chain_acceptance=(0.5,),
     )
 
 
@@ -90,7 +85,7 @@ class TestClassifyStructure:
     def test_per_chain_breakdown(self):
         draws = np.array([(0.3, 0.05, 0.1)] * 4 + [(0.3, 0.5, 0.1)] * 4)
         s = samples_from_draws(draws)
-        s.chain_sizes = (4, 4)
+        s.chain_acceptance = (0.5, 0.5)  # two chains of 4 draws
         v = classify_structure(s)
         assert v.per_chain == ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -127,18 +122,16 @@ class TestMembership:
 
 
 class TestCoassignment:
-    def test_requires_tally(self):
-        s = samples_from_draws(np.zeros((5, 3)))
-        with pytest.raises(ValueError, match="--coassign"):
-            coassignment_matrix(s)
-
     def test_matches_recount_from_stored_labels(self, run_recording_labels):
+        """The float32 tally of exact counts, divided in float64 (float32
+        division would round), is the share of draws in which each pair
+        shares a group."""
         g, _ = generate_sbm(GeneratorSpec(n=6, sizes=(3, 3),
                                           p=BlockProbs(0.9, 0.1, 0.7), seed=2))
         h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=1200, burn_in=200, seed=6, coassign=True)
         s, c = run_recording_labels(g, h, cfg)
-        mat = coassignment_matrix(s)
+        mat = np.divide(s.coassign_tally, s.retained, dtype=np.float64)
         recount = np.mean(c[:, :, None] == c[:, None, :], axis=0)
         assert mat.dtype == np.float64
         assert np.array_equal(mat, recount)

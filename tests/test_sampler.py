@@ -63,9 +63,8 @@ class TestInitChain:
     def test_deterministic_for_same_seed_and_chain(self):
         g = load_dataset("karate")
         h = Hyperparameters.uniform()
-        cfg = ChainConfig(total_samples=10, burn_in=0, seed=42)
-        a = init_chain(g, h, cfg, chain_rng(42, 3))
-        b = init_chain(g, h, cfg, chain_rng(42, 3))
+        a = init_chain(g, h, chain_rng(42, 3))
+        b = init_chain(g, h, chain_rng(42, 3))
         assert np.array_equal(a.c, b.c)
         assert a.p == b.p
         assert a.counts == b.counts
@@ -73,36 +72,28 @@ class TestInitChain:
     def test_different_chains_differ(self):
         g = load_dataset("karate")
         h = Hyperparameters.uniform()
-        cfg = ChainConfig(total_samples=10, burn_in=0, seed=42)
-        a = init_chain(g, h, cfg, chain_rng(42, 0))
-        b = init_chain(g, h, cfg, chain_rng(42, 1))
+        a = init_chain(g, h, chain_rng(42, 0))
+        b = init_chain(g, h, chain_rng(42, 1))
         assert a.p != b.p
-
-    def test_degree_split_puts_hubs_in_group_one(self):
-        g = load_dataset("karate")
-        h = Hyperparameters.uniform()
-        cfg = ChainConfig(total_samples=10, burn_in=0, seed=0, init="degree_split")
-        state = init_chain(g, h, cfg, chain_rng(0, 0))
-        degrees = np.array([len(adj) for adj in g.adjacency])
-        median = np.median(degrees)
-        assert np.all(state.c[degrees > median] == 1)
-        assert np.all(state.c[degrees < median] == 2)
-        # ties go to group 1
-        assert np.all(state.c[degrees == median] == 1)
-
-    def test_degree_split_tie_rule_two_node_path(self):
-        g = path_graph(2)
-        h = Hyperparameters.uniform()
-        cfg = ChainConfig(total_samples=10, burn_in=0, init="degree_split")
-        state = init_chain(g, h, cfg, chain_rng(0, 0))
-        assert np.array_equal(state.c, np.array([1, 1]))
 
     def test_cached_fields_consistent(self):
         g = path_graph(6)
         h = Hyperparameters.uniform()
-        state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=9),
-                           chain_rng(9, 0))
+        state = init_chain(g, h, chain_rng(9, 0))
         assert_consistent(state, g)
+
+    def test_starts_are_draws_from_the_prior(self):
+        """2000 starts on karate, chain_rng(7, i) for i < 2000, at pi = 0.2
+        and Beta(2, 5) on every block: the mean group-1 fraction and the mean
+        p11 lie within 4 standard errors of their prior means 0.2 and 2/7."""
+        g = load_dataset("karate")
+        h = Hyperparameters.uniform(a0=2.0, b0=5.0, pi=0.2)
+        starts = [init_chain(g, h, chain_rng(7, i)) for i in range(2000)]
+        fraction = np.array([state.counts.n1 / g.n for state in starts])
+        p11 = np.array([state.p.p11 for state in starts])
+        for x, mean, var in ((fraction, 0.2, 0.2 * 0.8 / g.n),
+                             (p11, 2 / 7, 2 * 5 / (7**2 * 8))):
+            assert abs(x.mean() - mean) <= 4 * math.sqrt(var / len(x))
 
 
 class TestChainState:
@@ -142,8 +133,7 @@ class TestLabelSweep:
         g = load_dataset("karate")
         h = Hyperparameters.uniform()
         rng = chain_rng(5, 0)
-        state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0, seed=5),
-                           rng)
+        state = init_chain(g, h, rng)
         sweeps = sweep_draws(rng, g)
         for _ in range(60):
             label_sweep(state, g, h, sweeps)
@@ -205,8 +195,7 @@ class TestLabelSweep:
         states, rngs, sweeps = [], [], []
         for _ in range(2):
             rng = chain_rng(11, 0)
-            state = init_chain(g, h, ChainConfig(total_samples=10, burn_in=0,
-                                                 seed=11), rng)
+            state = init_chain(g, h, rng)
             if p is not None:
                 state.p = p
             states.append(state)
@@ -489,7 +478,8 @@ class ZeroFirstUniform:
 
     def random(self, size):
         u = self.rng.random(size)
-        u[:, 0] = 0.0
+        if u.ndim == 2:  # the sweeps' blocks; init_chain's labels pass unchanged
+            u[:, 0] = 0.0
         return u
 
 
@@ -519,8 +509,7 @@ class TestRunChain:
         errors = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            run_chain(g, h, ChainConfig(total_samples=2 * k + 10, burn_in=10,
-                                        seed=3, init="degree_split"))
+            run_chain(g, h, ChainConfig(total_samples=2 * k + 10, burn_in=10, seed=3))
         assert np.geterr() == errors
         (rng,) = rngs
         assert len(flips) == 2 * k + 10
@@ -549,7 +538,7 @@ class TestRunChain:
         assert np.array_equal(a.label_tally, b.label_tally)
         assert np.array_equal(a.size_tally, b.size_tally)
         assert np.array_equal(a.coassign_tally, b.coassign_tally)
-        assert a.swap_acceptance_rate == b.swap_acceptance_rate
+        assert a.chain_acceptance == b.chain_acceptance
 
     def test_every_retained_draw_is_identifiable(self):
         g = path_graph(6)
@@ -572,7 +561,7 @@ class TestRunChain:
         h = Hyperparameters.uniform()
         pooled = run_chain(g, h, ChainConfig(total_samples=300, burn_in=50,
                                              seed=11, chains=3))
-        assert pooled.chain_sizes == (250, 250, 250)
+        assert pooled.retained == 750 and len(pooled.chain_acceptance) == 3
         first = run_chain(g, h, ChainConfig(total_samples=300, burn_in=50,
                                             seed=11, chains=1))
         assert np.array_equal(pooled.draws[:250], first.draws)
@@ -582,8 +571,6 @@ class TestRunChain:
             ChainConfig(total_samples=100, burn_in=200)
         with pytest.raises(ValueError, match="thin"):
             ChainConfig(total_samples=100, burn_in=10, thin=0)
-        with pytest.raises(ValueError, match="init"):
-            ChainConfig(total_samples=100, burn_in=10, init="warmstart")
         with pytest.raises(ValueError, match="no draws retained"):
             ChainConfig(total_samples=10, burn_in=5, thin=10)
 
@@ -618,9 +605,8 @@ class TestMatchesNumpyStateReference:
         "asymmetric-pi-0.7": (karate_prior(
             (3.0, 1.0, 0.5), (1.0, 2.0, 2.0), 0.7),
             dict(total_samples=400, burn_in=100, seed=3, thin=3, chains=2)),
-        "thin-3-three-chains-degree": (Hyperparameters.uniform(), dict(
-            total_samples=250, burn_in=50, seed=4, thin=3, chains=3,
-            init="degree_split")),
+        "thin-3-three-chains": (Hyperparameters.uniform(), dict(
+            total_samples=250, burn_in=50, seed=4, thin=3, chains=3)),
         "retained-31": (Hyperparameters.uniform(pi=0.3), dict(
             total_samples=41, burn_in=10, seed=5)),
         "retained-32": (Hyperparameters.uniform(), dict(
