@@ -7,6 +7,7 @@ all reporting translates back to the external names.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -53,6 +54,10 @@ class Graph:
         """degrees as an int64 array, for vectorised per-node terms."""
         return np.array(self.degrees, dtype=np.int64)
 
+    @cached_property
+    def degree_range(self) -> list[float]:  # 0.0, 1.0, ..., the largest degree
+        return [float(k) for k in range(max(self.degrees) + 1)]
+
     def edges(self):
         """All edges as (i, j) internal-id pairs with i < j, sorted."""
         for i in range(self.n):
@@ -66,7 +71,9 @@ class Graph:
         Re-parsing the result gives the same named nodes and edges if no
         node is isolated (edge lists cannot express isolated nodes).
         """
-        lines = [f"{self.names[i]} {self.names[j]}" for i, j in self.edges()]
+        names = self.names
+        lines = [f"{names[i]} {names[j]}" for i, nb in enumerate(self.adjacency)
+                 for j in nb[bisect_right(nb, i):]]  # sorted neighbours after i
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod

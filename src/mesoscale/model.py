@@ -49,17 +49,7 @@ class BlockCounts(NamedTuple):
     @classmethod
     def of(cls, M11, M12, M22, n1, n2) -> "BlockCounts":
         """Counts of realized edges M11, M12, M22 in groups of n1 and n2 nodes."""
-        return cls(M11, M12, M22, n1 * (n1 - 1) // 2, n1 * n2, n2 * (n2 - 1) // 2,
-                   n1, n2)
-
-    @classmethod
-    def of_group1(cls, g: Graph, n1: int, M11: int, D1: int) -> "BlockCounts":
-        """Counts on g given group 1's size n1, edges M11 and degree sum D1."""
-        return cls.of(M11, D1 - 2 * M11, g.m - D1 + M11, n1, g.n - n1)
-
-    def swapped(self) -> "BlockCounts":
-        """Counts after exchanging the two group names."""
-        return BlockCounts.of(self.M22, self.M12, self.M11, self.n2, self.n1)
+        return cls(*group1_counts(n1 + n2, M11 + M12 + M22, n1, M11, 2 * M11 + M12))
 
 
 @dataclass(frozen=True)
@@ -75,11 +65,14 @@ class Hyperparameters:
     b0_22: float = field(metadata={"option": "--b0-22 (or --b0)"})
     pi: float = field(metadata={"option": "--pi"})
     log_odds: float = field(init=False, repr=False)  # log(pi / (1 - pi))
+    shapes: tuple = field(init=False, repr=False)  # (a0, b0) of p11, p12, p22
     # the exchange of the two groups leaves the prior unchanged
     swap_symmetric: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        s11, _, s22 = self.shapes
+        s11, _, s22 = shapes = ((self.a0_11, self.b0_11), (self.a0_12, self.b0_12),
+                                (self.a0_22, self.b0_22))
+        object.__setattr__(self, "shapes", shapes)
         for name in ("a0_11", "b0_11", "a0_12", "b0_12", "a0_22", "b0_22"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects nan
                 raise ValueError(f"{option(self, name)} must be finite and "
@@ -93,12 +86,6 @@ class Hyperparameters:
         log_odds = float(np.log(pi) - np.log1p(-pi))
         object.__setattr__(self, "log_odds", log_odds)
         object.__setattr__(self, "swap_symmetric", s11 == s22 and log_odds == 0.0)
-
-    @property
-    def shapes(self) -> tuple[tuple[float, float], ...]:
-        """The prior Beta shapes (a0, b0) of p11, p12 and p22."""
-        return ((self.a0_11, self.b0_11), (self.a0_12, self.b0_12),
-                (self.a0_22, self.b0_22))
 
     @classmethod
     def uniform(cls, a0: float = 1.0, b0: float = 1.0, pi: float = 0.5):
@@ -127,17 +114,26 @@ def block_counts(g: Graph, c: np.ndarray, d1: list[int] | None = None) -> BlockC
     if d1 is None:
         d1 = group1_degrees(g, in1.tobytes())
     group1 = np.flatnonzero(in1).tolist()
-    return BlockCounts.of_group1(g, len(group1), sum(d1[i] for i in group1) // 2,
-                                 sum(g.degrees[i] for i in group1))
+    return BlockCounts(*group1_counts(g.n, g.m, len(group1), sum(d1[i] for i in group1) // 2,
+                                      sum(g.degrees[i] for i in group1)))
 
 
-def posterior_shapes(counts: BlockCounts, h: Hyperparameters) -> tuple:
+def group1_counts(n, m, n1, M11, D1) -> tuple:
+    """BlockCounts' fields as a plain tuple: the counts on n nodes and m edges
+    given group 1's size n1, edges M11 and degree sum D1 (or arrays of them)."""
+    n2 = n - n1
+    return (M11, D1 - 2 * M11, m - D1 + M11,
+            n1 * (n1 - 1) // 2, n1 * n2, n2 * (n2 - 1) // 2, n1, n2)
+
+
+def posterior_shapes(counts, h: Hyperparameters) -> tuple:
     """The conjugate Beta shapes (Mij + a0, mij - Mij + b0) of p11, p12 and
-    p22 given the counts; elementwise when the counts are arrays."""
+    p22 given counts in BlockCounts' field order; elementwise on arrays."""
     (a11, b11), (a12, b12), (a22, b22) = h.shapes
-    return ((counts.M11 + a11, counts.m11 - counts.M11 + b11),
-            (counts.M12 + a12, counts.m12 - counts.M12 + b12),
-            (counts.M22 + a22, counts.m22 - counts.M22 + b22))
+    M11, M12, M22, m11, m12, m22 = counts[:6]
+    return ((M11 + a11, m11 - M11 + b11),
+            (M12 + a12, m12 - M12 + b12),
+            (M22 + a22, m22 - M22 + b22))
 
 
 def log_marginal_likelihood(

@@ -9,13 +9,14 @@ A Beta draw can round a block probability to exactly 0 or 1, so the sweep
 takes its logs at p clamped to [P_FLOOR, P_CEIL], the nearest floats inside
 (0, 1): every log is finite and one delta expression serves every state. A
 flip impossible at p = 0 or 1 costs about 744 per edge (p = 0) or 36.7 per
-non-edge (p = 1), so it is all but never accepted. ChainState.p is unclamped.
+non-edge (p = 1), so it is all but never accepted. The state's p is unclamped.
 
 A chain is held in the sweep's own form from init_chain to its last draw:
 group 1 as a bytearray of 0/1 flags, and d1, each node's number of group-1
 neighbours. A proposal reads d1[i] in O(1); an accepted flip of node i adds
 +-1 to d1 at each neighbour of i, so a sweep costs O(n + accepted * degree).
-ChainState.c, the {1, 2} label array, is derived on demand.
+d1 holds floats, exact below 2**53: a*d1 is the float an int d1 gives, but
+runs on CPython 3.11's float-specialised operations.
 
 The sweep's log acceptance ratio for flipping node i, with d1 its group-1
 neighbours, is taken in a reduced form. With w1, v1 (w2, v2) the log-ratios
@@ -28,16 +29,16 @@ per edge and per non-edge of moving a pair from block 11 to 12 (12 to 22):
     b_i = deg_i*(w2 - v2) - log_odds
     k1  = (n1 - 1)*v1 + (n - n1)*v2,   k0 = -(n - n1 - 1)*v2 - n1*v1
 
-a is fixed by p, b is one numpy vector per sweep gathered in visiting order,
-and k1, k0 change only when a flip is accepted, so each proposal costs one
-list read and one multiply-add. A flip is accepted when log u < delta. The
-loops count only n1, M11 and D1, the degree sum of group 1, which a flip of
-i moves by +-1, +-d1 and +-deg_i; BlockCounts.of_group1 derives the rest.
-
+a is fixed by p, b_i = bt[deg_i] from a per-sweep list over the degrees, and
+k1, k0 change only when a flip is accepted, which it is when log u < delta.
+The state keeps only n1, M11 and D1 (group 1's degree sum), which a flip of
+i moves by +-1, +-d1 and +-deg_i; the Gibbs draw takes its shapes from them
+(model.group1_counts), and ChainState.c, the {1, 2} labels, is built when read.
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
-state, so exchange_groups returns at once. run_chain copies p and the raw
-flags (n + 24 bytes a draw) of each state chain_states yields, then names the
-groups so p11 >= p22 and builds every tally at once.
+state, so exchange_groups returns at once. run_chain appends p to an
+array('d') and copies the raw flags (n + 24 bytes a draw) of each state
+chain_states yields, then names the groups so p11 >= p22 and builds every
+tally at once.
 
 The co-assignment tally counts, for each node pair, the R retained draws
 with c_i == c_j. With y = 2x - 1 the +-1 form of a draw's group-1 flags x,
@@ -52,19 +53,16 @@ was, so the fold does not touch the tally.
 
 The sweeps' randomness comes from sweep_draws, one endless iterator per
 chain over the chain's own RNG. For each block of k = max(1, SWEEP_BLOCK // n)
-sweeps it makes one row-wise permutation of a (k, n) array, one log of k*n
-uniforms and one gather of the degrees in visiting order, then hands them
-out a sweep at a time. A block holds about 100 KB (4096 orders, degrees and
-log u, 8 bytes each); each sweep gets its rows as arrays, and the plain loop
-turns its n log u into Python floats. Above 4096 nodes a block is a single
-sweep. Drawing a block ahead leaves the chain's law as it was, a fresh
-uniform order and fresh uniforms each sweep, but puts those draws at other
-places in the RNG stream than one sweep at a time would.
+sweeps it makes one row-wise permutation of a (k, n) array and one log of
+k*n uniforms, then hands out a sweep's rows at a time. Drawing a block ahead
+leaves the chain's law as it was, but puts those draws at other places in
+the RNG stream than one sweep at a time would.
 
 An iteration on dolphins (62 nodes, 66 sweeps a block, 5% of flips accepted)
-takes about 25 us: the proposal loop about 0.3 us a proposal, the sweep's own
-fixed work about 5 us (the logs of p, b, the lists it loops over), its share
-of a block's draws about 3 us, the Gibbs draw's three Beta draws 4 us.
+takes about 16 us on one core of a 2-vCPU Xeon: the proposal loop 7.5 us
+(0.1 us a proposal, 3 accepted flips), the draws and two .tolist() 2.3 us,
+the logs of p, bt and other fixed work 2.3 us, the Gibbs draw 3.2 us (1.8
+its three Beta draws), chain_states and run_chain 0.6 us.
 
 On a large graph few flips are accepted, and screened_sweep makes the same
 decisions while visiting few proposals. Between two accepted flips the state
@@ -77,12 +75,13 @@ a net change D of the group-1 size moves them by |D| |v1 - v2|; flips in
 opposite directions cancel. With tolerance T = SCREEN_DRIFT |v1 - v2| + slack,
 a proposal with margin <= -T is a certain rejection while |D| <= SCREEN_DRIFT
 and its node has seen at most B = floor((-T - margin) / |a|) neighbour flips.
-The screen gives each node that budget (at most 255) in a bytearray. The walk
-finds with bytearray.find the positions with margin > -T and those whose node
-overdrew its budget, and decides each with the plain loop's expressions. An
-accepted flip past |D| = SCREEN_DRIFT starts a new screen of the rest of the
-sweep. The draws are the same and so is every decision, so every seeded
-output is the plain loop's, byte for byte.
+The screen reads d1 as np.frombuffer(struct.Struct(f"{n}d").pack(*d1)), 18 us
+at n = 3000 (np.array(d1) takes 78), and gives each node that budget (at
+most 255) in a bytearray. The walk finds with bytearray.find the positions
+with margin > -T and those whose node overdrew its budget, and decides each
+with the plain loop's expressions. An accepted flip past |D| = SCREEN_DRIFT
+starts a new screen of the rest of the sweep. Every decision is the plain
+loop's, so every seeded output is too, byte for byte.
 
 The slack covers rounding. Each side of a decision is a few float operations
 on operands bounded by S = 1 + n (|v1| + |v2|) + (|a| + |w2 - v2|) max degree
@@ -95,21 +94,21 @@ large.
 label_sweep screens a sweep when n >= SCREEN_MIN_NODES and the last sweep's
 accepted flips times the mean degree is at most SCREEN_MAX_MARKED * n: each
 accepted flip touches its neighbours' budgets, and many flips mean many new
-screens. A chain's first sweep, with no last sweep, is plain. Per sweep, on
-one core, at steady state: dolphins (n = 62, 5% accepted) 13.7 us plain and
-30.4 us screened; the benchmark's 3000-node SBM (mean degree 27.6, 1%
-accepted) 487 us plain and 202 us screened, deciding about 23 proposals with
-one screen. The screened sweep's cost is its draws (about 50 us), the screen
-(about 60 us) and its accepted flips' neighbour updates. On a 100-node SBM
-at 40% acceptance it takes 138 us to the plain loop's 46 us; on a 1000-node
-graph of mean degree 10 it was faster at flips * degree = 0.4 n (141 against
-174 us) and slower at 0.9 n (291 against 209 us).
+screens. A chain's first sweep, with no last sweep, is plain. Per sweep at
+steady state: dolphins 12.8 us plain, 35 us screened; a 3000-node SBM like
+the benchmark's (mean degree 27.7, 0.6% accepted) 434 us plain, 217 us
+screened, deciding about 23 proposals with one screen. On two-group SBMs
+with n = 1000 and mean degree 10 (medians of 200 sweeps each way), the screen
+won at flips * degree = 0.53 n (157 against 190 us) and 0.65 n (188 against
+200) and lost at 0.79 n (220 against 206), so SCREEN_MAX_MARKED is 0.7.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -117,10 +116,10 @@ import numpy as np
 
 from .graph import Graph
 from .model import (
-    BlockCounts,
     BlockProbs,
     Hyperparameters,
     block_counts,
+    group1_counts,
     group1_degrees,
     option,
     posterior_shapes,
@@ -131,13 +130,12 @@ MIRROR_BLOCK = 256  # tile side of the tally's upper-to-lower mirror
 COASSIGN_MAX_DRAWS = 2**23  # float32 holds the tally's half-counts exactly up to here
 SWEEP_BLOCK = 4096  # proposals whose draws sweep_draws makes at once
 SCREEN_MIN_NODES = 1000  # smaller graphs always take the plain loop
-SCREEN_MAX_MARKED = 0.5  # screen if the last sweep's flips * mean degree <= this * n
+SCREEN_MAX_MARKED = 0.7  # screen if the last sweep's flips * mean degree <= this * n
 SCREEN_DRIFT = 8  # net change of the group-1 size one screen tolerates
 SCREEN_SLACK = 1e-9  # the screen's rounding slack, relative to its operands' sizes
 P_FLOOR, P_CEIL = math.ulp(0.0), math.nextafter(1.0, 0.0)
 EXCHANGE_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0 <-> 1
-# one sweep's draws: visiting order, degrees in that order, log u per proposal
-SweepDraw = tuple[np.ndarray, np.ndarray, np.ndarray]
+SweepDraw = tuple[np.ndarray, np.ndarray]  # one sweep's visiting order and log u
 
 
 @dataclass(frozen=True)
@@ -177,19 +175,23 @@ class ChainConfig:
 
 @dataclass
 class ChainState:
-    """One MCMC state in the sweep's form (module docstring).
+    """One MCMC state on graph g in the sweep's form (module docstring).
 
-    flags[i] is 1 when node i is in group 1 and 0 otherwise; d1[i] is the
-    number of node i's neighbours in group 1. The sweep and the exchange
-    update both in place; counts is a cache kept consistent with them.
-    sweep_flips, the last label sweep's accepted flips, chooses how the next
-    sweep runs (label_sweep); flips_after_burn_in sums them after burn-in.
+    flags[i] is 1 when node i is in group 1, d1[i] counts its group-1
+    neighbours (as a float), and n1, M11, D1 are group 1's size, edges and
+    degree sum. sweep_flips, the last sweep's accepted flips, chooses how the
+    next sweep runs (label_sweep); flips_after_burn_in sums them after burn-in.
     """
 
+    g: Graph = field(repr=False)
     flags: bytearray
-    d1: list[int]
-    p: BlockProbs
-    counts: BlockCounts
+    d1: list[float]
+    p11: float
+    p12: float
+    p22: float
+    n1: int
+    M11: int
+    D1: int
     sweep_flips: int | None = None  # None before a chain's first sweep
     flips_after_burn_in: int = 0
 
@@ -199,7 +201,8 @@ class ChainState:
         d1 is counted once and the block counts are derived from it."""
         flags = bytearray((np.asarray(c) == 1).tobytes())
         d1 = group1_degrees(g, flags)
-        return cls(flags=flags, d1=d1, p=p, counts=block_counts(g, c, d1))
+        k = block_counts(g, c, d1)
+        return cls(g, flags, list(map(float, d1)), *p, k.n1, k.M11, 2 * k.M11 + k.M12)
 
     @property
     def c(self) -> np.ndarray:
@@ -244,11 +247,10 @@ def _logs(q: float) -> tuple[float, float]:
 
 
 def sweep_draws(rng: np.random.Generator, g: Graph) -> Iterator[SweepDraw]:
-    """Endless draws for the label sweeps, one (order, degrees, log_us) per
-    sweep: a uniform permutation of range(n), g.degree_array[order], and the
-    logs of n fresh uniforms, each an array row. Made for
-    max(1, SWEEP_BLOCK // n) sweeps at a time (module docstring). Only the
-    log holds np.errstate: held across a yield, it would leak into the caller.
+    """Endless draws for the label sweeps, one (order, log_us) per sweep: a
+    uniform permutation of range(n) and the logs of n fresh uniforms, as
+    array rows of a block of sweeps (module docstring). Only the log holds
+    np.errstate: held across a yield, it would leak into the caller.
     """
     n = g.n
     rows = np.broadcast_to(np.arange(n), (max(1, SWEEP_BLOCK // n), n))
@@ -256,7 +258,7 @@ def sweep_draws(rng: np.random.Generator, g: Graph) -> Iterator[SweepDraw]:
         orders = rng.permuted(rows, axis=1)
         with np.errstate(divide="ignore"):
             log_us = np.log(rng.random(rows.shape))
-        yield from zip(orders, g.degree_array[orders], log_us)
+        yield from zip(orders, log_us)
 
 
 def label_sweep(
@@ -273,72 +275,65 @@ def label_sweep(
     graphs whose last sweep flipped few nodes the pass is screened
     (screened_sweep), with the same decisions as this plain loop.
     """
-    lp11, l1m11 = _logs(state.p.p11)
-    lp12, l1m12 = _logs(state.p.p12)
-    lp22, l1m22 = _logs(state.p.p22)
+    lp11, l1m11 = _logs(state.p11)
+    lp12, l1m12 = _logs(state.p12)
+    lp22, l1m22 = _logs(state.p22)
     # per-pair log-ratios of a 1 -> 2 flip; a 2 -> 1 flip negates them exactly
     w1, v1 = lp12 - lp11, l1m12 - l1m11
     w2, v2 = lp22 - lp12, l1m22 - l1m12
     a = (w1 - v1) - (w2 - v2)
 
-    order, order_degrees, log_us = next(sweeps)
-    bs = (w2 - v2) * order_degrees
-    if h.log_odds:
-        bs -= h.log_odds
+    order, log_us = next(sweeps)
     flips = state.sweep_flips
     if (g.n >= SCREEN_MIN_NODES and flips is not None
             and flips * 2 * g.m <= SCREEN_MAX_MARKED * g.n * g.n):
-        state.sweep_flips = screened_sweep(state, g, h, order, bs, log_us,
-                                           a, v1, v2, w2)
+        state.sweep_flips = screened_sweep(state, g, h, order, log_us, a, v1, v2, w2)
         return state, state.sweep_flips
 
     n, adjacency, degrees = g.n, g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
-    counts = state.counts
-    n1, M11, D1 = counts.n1, counts.M11, 2 * counts.M11 + counts.M12
+    n1, M11, D1 = state.n1, state.M11, state.D1
     k1 = (n1 - 1) * v1 + (n - n1) * v2
     k0 = -(n - n1 - 1) * v2 - n1 * v1
+    bt = [(w2 - v2) * k - h.log_odds for k in g.degree_range]
     accepted = 0
 
-    for i, b, log_u in zip(order.tolist(), bs.tolist(), log_us.tolist()):
-        d1 = d1s[i]
-        x = a * d1 + b
+    for i, log_u in zip(order.tolist(), log_us.tolist()):
+        x = a * d1s[i] + bt[degrees[i]]
         if flags[i]:
             if log_u >= x + k1:
                 continue
             flags[i] = 0
             n1 -= 1
-            M11 -= d1
+            M11 -= d1s[i]
             D1 -= degrees[i]
             for j in adjacency[i]:
-                d1s[j] -= 1
+                d1s[j] -= 1.0
         else:
             if log_u >= k0 - x:
                 continue
             flags[i] = 1
             n1 += 1
-            M11 += d1
+            M11 += d1s[i]
             D1 += degrees[i]
             for j in adjacency[i]:
-                d1s[j] += 1
+                d1s[j] += 1.0
         accepted += 1
         k1 = (n1 - 1) * v1 + (n - n1) * v2
         k0 = -(n - n1 - 1) * v2 - n1 * v1
 
-    if accepted:
-        state.counts = BlockCounts.of_group1(g, n1, M11, D1)
+    state.n1, state.M11, state.D1 = n1, int(M11), D1
     state.sweep_flips = accepted
     return state, accepted
 
 
 def screened_sweep(
     state: ChainState, g: Graph, h: Hyperparameters, order: np.ndarray,
-    bs: np.ndarray, log_us: np.ndarray, a: float, v1: float, v2: float, w2: float,
+    log_us: np.ndarray, a: float, v1: float, v2: float, w2: float,
 ) -> int:
     """label_sweep's pass, evaluating only the proposals a screen cannot
-    prove rejected (module docstring). Takes label_sweep's order, b in
-    visiting order, log u and terms a, v1, v2, w2; mutates ``state`` and
-    returns the accepted-flip count.
+    prove rejected (module docstring). Takes label_sweep's order, log u and
+    terms a, v1, v2, w2; mutates ``state``; returns the accepted-flip count.
 
     A screen at position s computes every later proposal's margin, delta -
     log u, at the state it finds. cand marks the positions the walk must
@@ -349,12 +344,12 @@ def screened_sweep(
     """
     n, adjacency, degrees = g.n, g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
-    counts = state.counts
-    n1, M11, D1 = counts.n1, counts.M11, 2 * counts.M11 + counts.M12
+    n1, M11, D1 = state.n1, state.M11, state.D1
     k1 = (n1 - 1) * v1 + (n - n1) * v2
     k0 = -(n - n1 - 1) * v2 - n1 * v1
     accepted = 0
 
+    bs = (w2 - v2) * g.degree_array[order] - h.log_odds  # b in visiting order
     max_degree = int(g.degree_array.max())
     slack = SCREEN_SLACK * (1.0 + n * (abs(v1) + abs(v2))
                             + (abs(a) + abs(w2 - v2)) * max_degree + abs(h.log_odds))
@@ -363,14 +358,13 @@ def screened_sweep(
     per_flip = 1.0 / max(abs(a), tolerance / 256)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
+    pack_d1 = struct.Struct(f"{n}d").pack  # d1 as n float64, for np.frombuffer
     cand = bytearray(n)  # by position: 1 where the walk decides
     budget = bytearray(n)  # by node: neighbour flips it absorbs unvisited
     start = 0
     while start < n:
         rest = order[start:]
-        # d1 < 256 fits bytes(), 2.4 times as fast as np.fromiter at n = 3000
-        d1_now = (np.frombuffer(bytes(d1s), dtype=np.uint8) if max_degree < 256
-                  else np.fromiter(d1s, dtype=np.int64, count=n))
+        d1_now = np.frombuffer(pack_d1(*d1s))
         x = a * d1_now[rest] + bs[start:]
         margin = np.where(np.frombuffer(flags, dtype=np.uint8)[rest], x + k1, k0 - x)
         margin -= log_us[start:]
@@ -394,7 +388,7 @@ def screened_sweep(
                 M11 -= d1
                 D1 -= degrees[i]
                 for j in adjacency[i]:
-                    d1s[j] -= 1
+                    d1s[j] -= 1.0
                     if budget[j]:
                         budget[j] -= 1
                     else:
@@ -408,7 +402,7 @@ def screened_sweep(
                 M11 += d1
                 D1 += degrees[i]
                 for j in adjacency[i]:
-                    d1s[j] += 1
+                    d1s[j] += 1.0
                     if budget[j]:
                         budget[j] -= 1
                     else:
@@ -421,8 +415,7 @@ def screened_sweep(
                 break
             k = cand.find(1, k + 1)
 
-    if accepted:
-        state.counts = BlockCounts.of_group1(g, n1, M11, D1)
+    state.n1, state.M11, state.D1 = n1, int(M11), D1
     return accepted
 
 
@@ -430,8 +423,10 @@ def gibbs_update_probs(
     state: ChainState, h: Hyperparameters, rng: np.random.Generator
 ) -> ChainState:
     """Conjugate Beta draw for each block probability, in p11, p12, p22 order."""
-    (a11, b11), (a12, b12), (a22, b22) = posterior_shapes(state.counts, h)
-    state.p = BlockProbs(rng.beta(a11, b11), rng.beta(a12, b12), rng.beta(a22, b22))
+    (a11, b11), (a12, b12), (a22, b22) = posterior_shapes(group1_counts(
+        state.g.n, state.g.m, state.n1, state.M11, state.D1), h)
+    state.p11, state.p12, state.p22 = (
+        rng.beta(a11, b11), rng.beta(a12, b12), rng.beta(a22, b22))
     return state
 
 
@@ -451,10 +446,10 @@ def exchange_groups(
     """
     if h.swap_symmetric:
         return state
-    lp11, l1m11 = _logs(state.p.p11)
-    lp22, l1m22 = _logs(state.p.p22)
+    lp11, l1m11 = _logs(state.p11)
+    lp22, l1m22 = _logs(state.p22)
     log_ratio = (
-        h.log_odds * (state.counts.n2 - state.counts.n1)
+        h.log_odds * (g.n - 2 * state.n1)
         + (h.a0_11 - h.a0_22) * (lp22 - lp11)
         + (h.b0_11 - h.b0_22) * (l1m22 - l1m11)
     )
@@ -462,8 +457,9 @@ def exchange_groups(
         return state
     state.flags = state.flags.translate(EXCHANGE_FLAGS)
     state.d1 = [d - d1 for d, d1 in zip(g.degrees, state.d1)]
-    state.p = BlockProbs(*state.p[::-1])
-    state.counts = state.counts.swapped()
+    state.p11, state.p22 = state.p22, state.p11
+    n1, M11, D1 = state.n1, state.M11, state.D1
+    state.n1, state.M11, state.D1 = g.n - n1, g.m - D1 + M11, 2 * g.m - D1
     return state
 
 
@@ -523,20 +519,21 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     if cfg.coassign:
         require_memory(4 * n * n, f"co-assignment tally for n={n}")
     require_memory((24 + n) * total_retained, f"kept states ({total_retained} draws)")
-    draws = np.empty((total_retained, 3))
+    ps = array("d")  # p11, p12, p22 of each draw in turn
     kept = bytearray(total_retained * n)  # the flags of draw r at [r*n, (r+1)*n)
     chain_acceptance = []
     pos = 0
 
     for chain_index in range(cfg.chains):
         for state in chain_states(g, h, cfg, chain_index):
-            draws[pos] = state.p
+            ps.extend((state.p11, state.p12, state.p22))
             kept[pos * n:(pos + 1) * n] = state.flags
             pos += 1
         chain_acceptance.append(  # state as the chain's last iteration left it
             state.flips_after_burn_in / (n * (cfg.total_samples - cfg.burn_in)))
 
     assert pos == total_retained
+    draws = np.frombuffer(ps, dtype=np.float64).reshape(total_retained, 3)
     # name group 1 the group with p11 >= p22 in every draw
     fold = draws[:, 0] < draws[:, 2]
     draws[fold] = draws[fold, ::-1]

@@ -14,7 +14,7 @@ def run_recording_labels():
     """
     def run(g, h, cfg):
         samples = sampler.run_chain(g, h, cfg)
-        labels = [state.c if state.p.p11 >= state.p.p22 else 3 - state.c
+        labels = [state.c if state.p11 >= state.p22 else 3 - state.c
                   for chain_index in range(cfg.chains)
                   for state in sampler.chain_states(g, h, cfg, chain_index)]
         assert len(labels) == samples.retained

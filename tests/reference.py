@@ -3,7 +3,8 @@
 Plain, slow code with no caches: the label prior, the collapsed Bernoulli
 likelihood, a chain whose state is a numpy {1, 2} label array, swept with
 a Python loop over each node's adjacency and tallied draw by draw, and an
-SBM generator that draws every block's uniforms in one call.
+SBM generator that draws every block's uniforms in one call. The chain
+makes its own sweep draws and Beta draws, in the package's stream order.
 """
 
 import math
@@ -13,8 +14,8 @@ import numpy as np
 
 from mesoscale import sampler
 from mesoscale.graph import Graph
-from mesoscale.model import BlockCounts, BlockProbs, Hyperparameters
-from mesoscale.sampler import ChainConfig, chain_rng, gibbs_update_probs, sweep_draws
+from mesoscale.model import BlockCounts, BlockProbs, Hyperparameters, group1_counts
+from mesoscale.sampler import ChainConfig, chain_rng
 
 
 def _bernoulli_block_term(M: int, m: int, p: float) -> float:
@@ -44,6 +45,16 @@ def log_likelihood(counts: BlockCounts, p: BlockProbs) -> float:
     )
 
 
+def probs_of(state) -> BlockProbs:
+    """A ChainState's block probabilities."""
+    return BlockProbs(state.p11, state.p12, state.p22)
+
+
+def counts_of(state) -> BlockCounts:
+    """A ChainState's block counts, from its group-1 n1, M11 and D1."""
+    return BlockCounts(*group1_counts(state.g.n, state.g.m, state.n1, state.M11, state.D1))
+
+
 @dataclass
 class NumpyState:
     """A chain state held as a numpy label array with entries in {1, 2}."""
@@ -53,17 +64,39 @@ class NumpyState:
     counts: BlockCounts
 
 
+def reference_sweep_draws(rng, n):
+    """Endless (order, log_us) per sweep, drawn a block of sampler.SWEEP_BLOCK
+    // n sweeps (at least one) at a time, in the RNG stream order the
+    package's sweep_draws keeps: one row-wise permutation of the block's
+    orders, then one array of its uniforms."""
+    sweeps = max(1, sampler.SWEEP_BLOCK // n)
+    while True:
+        orders = rng.permuted(np.tile(np.arange(n), (sweeps, 1)), axis=1).tolist()
+        with np.errstate(divide="ignore"):  # u == 0 gives log u = -inf
+            log_us = np.log(rng.random((sweeps, n))).tolist()
+        yield from zip(orders, log_us)
+
+
+def reference_gibbs(state, h, rng):
+    """The conjugate Beta draws of p11, p12 and p22, in that order, from the
+    state's counts."""
+    k = state.counts
+    state.p = BlockProbs(rng.beta(k.M11 + h.a0_11, k.m11 - k.M11 + h.b0_11),
+                         rng.beta(k.M12 + h.a0_12, k.m12 - k.M12 + h.b0_12),
+                         rng.beta(k.M22 + h.a0_22, k.m22 - k.M22 + h.b0_22))
+    return state
+
+
 def loop_label_sweep(state, g, h, sweeps):
     """The label sweep with a Python loop over each node's adjacency, on a
     NumpyState: the reference that label_sweep must match state for state.
-    Takes the visiting order and log u from next(sweeps), and counts each
-    node's neighbours itself."""
+    Takes the visiting order and log u from next(sweeps) (see
+    reference_sweep_draws), and counts each node's neighbours itself."""
     n = g.n
     lp11, l1m11 = sampler._logs(state.p.p11)
     lp12, l1m12 = sampler._logs(state.p.p12)
     lp22, l1m22 = sampler._logs(state.p.p22)
-    order, _, log_us = next(sweeps)
-    order = order.tolist()
+    order, log_us = next(sweeps)
     ing1 = (state.c == 1).astype(np.int64).tolist()
     counts = state.counts
     n1, n2 = counts.n1, counts.n2
@@ -121,7 +154,8 @@ def numpy_exchange_groups(state, g, h, rng):
         return state
     state.c = 3 - state.c
     state.p = BlockProbs(*state.p[::-1])
-    state.counts = state.counts.swapped()
+    k = state.counts
+    state.counts = BlockCounts.of(k.M22, k.M12, k.M11, k.n2, k.n1)
     return state
 
 
@@ -137,12 +171,12 @@ def numpy_run_chain(g, h: Hyperparameters, cfg: ChainConfig) -> dict:
     for chain_index in range(cfg.chains):
         rng = chain_rng(cfg.seed, chain_index)
         init = sampler.init_chain(g, h, rng)
-        state = NumpyState(c=init.c, p=init.p, counts=init.counts)
-        sweeps = sweep_draws(rng, g)
+        state = NumpyState(c=init.c, p=probs_of(init), counts=counts_of(init))
+        sweeps = reference_sweep_draws(rng, n)
         accepted_post = 0
         for it in range(cfg.total_samples):
             _, accepted = loop_label_sweep(state, g, h, sweeps)
-            gibbs_update_probs(state, h, rng)
+            reference_gibbs(state, h, rng)
             numpy_exchange_groups(state, g, h, rng)
             if it < cfg.burn_in:
                 continue

@@ -18,6 +18,10 @@ toward both ends, in place of Simpson's rule on p12's density. Its verdict
 moved by at most 4e-8 and the report gained quadrature_error. It was re-pinned
 when the error bound began to be summed chunk by chunk, which moved
 quadrature_error in its last digit and left the verdict's bytes unchanged.
+
+The dolphins analyze case and the 100-node simulate case, where many flips
+are accepted, were pinned before the sweep began to hold its neighbour
+counts as floats; that change left every hash here as it was.
 """
 
 import hashlib
@@ -47,6 +51,21 @@ CASES = {
     ], {
         "sweep.csv": "9f683cca2df74193b408b023aec355333b343adf19cc922a8b1d63efacba17fa",
         "raw.csv": "8eee201c7c6f0d4d86333b9b5f4f0030962aafff4ea44753abcea85a6b0cc3ff",
+    }),
+    "analyze-dolphins-seed-7": ([
+        "analyze", "--dataset", "dolphins", "--samples", "2000", "--burn-in", "500",
+        "--seed", "7",
+    ], {
+        "report.json": "e164c1f3094fb9c89c09cee887d9227021ab216b7717320c48183c53dfac7aef",
+        "traces.csv": "5cf6ff343174561229cd301492151356d86aac52523341a021b869e784d29dc6",
+    }),
+    # n = 100 at p12 = 0.125: about 40% of the flips are accepted
+    "simulate-n-100-high-acceptance": ([
+        "simulate", "--n", "100", "--grid", "0.125", "--replicates", "2",
+        "--samples", "300", "--burn-in", "100", "--seed", "3",
+    ], {
+        "sweep.csv": "3f42bff423895d346fa6a20b0a426108dd6d548a87f261cc627cb270a755432c",
+        "raw.csv": "e20703ca6fec2ed5926e0a0e5f4509c7a2d9c9866db872f2bbecd57ef07430ef",
     }),
     "oracle-sbm-14-pi-0.2": ([
         "oracle", "sbm.edges", "--nodes", "sbm.nodes", "--pi", "0.2",

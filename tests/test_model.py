@@ -132,7 +132,8 @@ class TestLogLikelihood:
                 m11=m11, m12=m12, m22=m22, n1=int(n1), n2=int(n2),
             )
             p = BlockProbs(*rng.random(3))
-            swapped = counts.swapped()
+            swapped = BlockCounts.of(counts.M22, counts.M12, counts.M11,
+                                     counts.n2, counts.n1)
             assert log_likelihood(counts, p) == pytest.approx(
                 log_likelihood(swapped, BlockProbs(p.p22, p.p12, p.p11)),
                 rel=1e-12, abs=1e-12,
@@ -151,7 +152,7 @@ def first_node_draws(g, i, u):
     every later node gets log u = 0 and so moves only on delta >= 0."""
     order = np.array([i] + [j for j in range(g.n) if j != i])
     log_us = np.array([math.log(u)] + [0.0] * (g.n - 1))
-    return iter([(order, g.degree_array[order], log_us)])
+    return iter([(order, log_us)])
 
 
 def sweep_flips(g, c, p, h, i, u):

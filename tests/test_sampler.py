@@ -34,11 +34,15 @@ from mesoscale.sampler import (
 from mesoscale.synth import GeneratorSpec, generate_sbm
 from reference import (
     NumpyState,
+    counts_of,
     log_likelihood,
     log_prior_labels,
     loop_label_sweep,
     numpy_exchange_groups,
     numpy_run_chain,
+    probs_of,
+    reference_gibbs,
+    reference_sweep_draws,
 )
 
 
@@ -52,7 +56,7 @@ def assert_consistent(state, g):
     c = state.c
     assert set(state.flags) <= {0, 1}
     assert state.d1 == [sum(state.flags[j] for j in nb) for nb in g.adjacency]
-    assert state.counts == block_counts(g, c)
+    assert counts_of(state) == block_counts(g, c)
 
 
 def path_graph(n):
@@ -66,15 +70,15 @@ class TestInitChain:
         a = init_chain(g, h, chain_rng(42, 3))
         b = init_chain(g, h, chain_rng(42, 3))
         assert np.array_equal(a.c, b.c)
-        assert a.p == b.p
-        assert a.counts == b.counts
+        assert probs_of(a) == probs_of(b)
+        assert counts_of(a) == counts_of(b)
 
     def test_different_chains_differ(self):
         g = load_dataset("karate")
         h = Hyperparameters.uniform()
         a = init_chain(g, h, chain_rng(42, 0))
         b = init_chain(g, h, chain_rng(42, 1))
-        assert a.p != b.p
+        assert probs_of(a) != probs_of(b)
 
     def test_cached_fields_consistent(self):
         g = path_graph(6)
@@ -89,8 +93,8 @@ class TestInitChain:
         g = load_dataset("karate")
         h = Hyperparameters.uniform(a0=2.0, b0=5.0, pi=0.2)
         starts = [init_chain(g, h, chain_rng(7, i)) for i in range(2000)]
-        fraction = np.array([state.counts.n1 / g.n for state in starts])
-        p11 = np.array([state.p.p11 for state in starts])
+        fraction = np.array([state.n1 / g.n for state in starts])
+        p11 = np.array([state.p11 for state in starts])
         for x, mean, var in ((fraction, 0.2, 0.2 * 0.8 / g.n),
                              (p11, 2 / 7, 2 * 5 / (7**2 * 8))):
             assert abs(x.mean() - mean) <= 4 * math.sqrt(var / len(x))
@@ -157,7 +161,7 @@ class TestLabelSweep:
             _, flips = label_sweep(state, g, h, sweeps)
             accepted += flips
             assert_consistent(state, g)
-            assert state.counts.M12 == 0
+            assert counts_of(state).M12 == 0
         assert accepted > 0
 
     @pytest.mark.parametrize("g, p, update_p, prior", [
@@ -192,29 +196,30 @@ class TestLabelSweep:
             "dolphins-asymmetric", "dense-60"])
     def test_matches_adjacency_loop_state_for_state(self, g, p, update_p, prior):
         h = prior or Hyperparameters.uniform(pi=0.4)
-        states, rngs, sweeps = [], [], []
+        states, rngs = [], []
         for _ in range(2):
             rng = chain_rng(11, 0)
             state = init_chain(g, h, rng)
             if p is not None:
-                state.p = p
+                state.p11, state.p12, state.p22 = p
             states.append(state)
             rngs.append(rng)
-            sweeps.append(sweep_draws(rng, g))
-        states[1] = NumpyState(c=states[1].c, p=states[1].p,
-                               counts=states[1].counts)
+        sweeps = [sweep_draws(rngs[0], g), reference_sweep_draws(rngs[1], g.n)]
+        states[1] = NumpyState(c=states[1].c, p=probs_of(states[1]),
+                               counts=counts_of(states[1]))
         for _ in range(200):
             _, accepted = label_sweep(states[0], g, h, sweeps[0])
             _, expected = loop_label_sweep(states[1], g, h, sweeps[1])
             assert accepted == expected
             assert np.array_equal(states[0].c, states[1].c)
-            assert states[0].counts == states[1].counts
+            assert counts_of(states[0]) == states[1].counts
             if update_p:
-                for state, rng, exchange in zip(
-                        states, rngs, (exchange_groups, numpy_exchange_groups)):
-                    gibbs_update_probs(state, h, rng)
+                for state, rng, gibbs, exchange in zip(
+                        states, rngs, (gibbs_update_probs, reference_gibbs),
+                        (exchange_groups, numpy_exchange_groups)):
+                    gibbs(state, h, rng)
                     exchange(state, g, h, rng)
-                assert states[0].p == states[1].p
+                assert probs_of(states[0]) == states[1].p
             assert_consistent(states[0], g)
 
     def test_single_free_node_visits_both_groups_evenly(self):
@@ -287,17 +292,16 @@ def random_graph(n, m, seed):
 
 class TestSweepDraws:
     @pytest.mark.parametrize("n", [1, 7, 62, sampler.SWEEP_BLOCK + 1])
-    def test_each_sweep_gets_an_order_its_degrees_and_fresh_log_us(self, n):
+    def test_each_sweep_gets_an_order_and_fresh_log_us(self, n):
         """Across three block boundaries every sweep's order is a permutation
-        of range(n), its degrees are gathered in that order, and its n log u
-        are <= 0 and drawn afresh: no value repeats in the whole run."""
+        of range(n), and its n log u are <= 0 and drawn afresh: no value
+        repeats in the whole run."""
         g = random_graph(n, 3 * n, seed=n)
         sweeps = 3 * max(1, sampler.SWEEP_BLOCK // n) + 1
         all_log_us = []
-        for order, degrees, log_us in itertools.islice(
+        for order, log_us in itertools.islice(
                 sweep_draws(chain_rng(9, 0), g), sweeps):
             assert sorted(order.tolist()) == list(range(n))
-            assert np.array_equal(degrees, g.degree_array[order])
             assert len(log_us) == n and max(log_us) <= 0.0
             all_log_us += log_us.tolist()
         assert len(all_log_us) == sweeps * n
@@ -308,7 +312,7 @@ class TestSweepDraws:
         the 0.999 quantile of chi-square with 5 degrees of freedom."""
         sweeps = 60000
         tally = collections.Counter(
-            tuple(order.tolist()) for order, _, _ in itertools.islice(
+            tuple(order.tolist()) for order, _ in itertools.islice(
                 sweep_draws(chain_rng(12, 0), path_graph(3)), sweeps))
         assert len(tally) == 6
         expected = sweeps / 6
@@ -325,7 +329,7 @@ class TestGibbsUpdate:
         state = make_state(g, c, BlockProbs(0.5, 0.5, 0.5))
         for _ in range(4000):
             gibbs_update_probs(state, h, rng)
-            draws.append(state.p.p12)
+            draws.append(state.p12)
         draws = np.asarray(draws)
         # Beta(1,1) = uniform: mean 1/2, var 1/12
         assert abs(draws.mean() - 0.5) < 3 * math.sqrt(1 / 12 / len(draws))
@@ -338,7 +342,7 @@ class TestGibbsUpdate:
         state = make_state(g, np.array([1, 1, 1]), BlockProbs(0.5, 0.5, 0.5))
         m11 = 3
         draws = np.array([
-            gibbs_update_probs(state, h, rng).p.p11 for _ in range(4000)
+            gibbs_update_probs(state, h, rng).p11 for _ in range(4000)
         ])
         expected_mean = (m11 + 1) / (m11 + 2)
         expected_var = expected_mean * (1 - expected_mean) / (m11 + 3)
@@ -357,7 +361,7 @@ class TestGibbsUpdate:
         draws = np.empty((ndraws, 3))
         for k in range(ndraws):
             gibbs_update_probs(state, h, rng)
-            draws[k] = state.p
+            draws[k] = probs_of(state)
         params = (
             (counts.M11 + 1, counts.m11 - counts.M11 + 1),
             (counts.M12 + 1, counts.m12 - counts.M12 + 1),
@@ -417,19 +421,19 @@ class TestExchangeGroups:
             state, draws = self.exchange(c, p, bound * (1 - 1e-9))
             assert draws == 1
             assert np.array_equal(state.c, 3 - c)
-            assert state.p == mirror
+            assert probs_of(state) == mirror
             # each node's group-1 neighbours were its group-2 neighbours
             before = make_state(self.G, c, p).d1
             assert state.d1 == [d - d1 for d, d1 in zip(self.G.degrees, before)]
             state, draws = self.exchange(c, p, bound * (1 + 1e-9))
             assert draws == 1
             assert np.array_equal(state.c, c)
-            assert state.p == p
+            assert probs_of(state) == p
             # the reverse move has ratio 1 / bound > 1: always taken
             state, draws = self.exchange(3 - c, mirror, 1 - 1e-12)
             assert draws == 1
             assert np.array_equal(state.c, c)
-            assert state.p == p
+            assert probs_of(state) == p
 
     def test_ratio_beyond_float_range_is_taken(self):
         """exp of a log ratio above 709 overflows; the move is taken."""
@@ -457,7 +461,7 @@ class TestExchangeGroups:
         exchange_groups(state, g, h, rng)
         assert rng.draws == 0
         assert np.array_equal(state.c, c)
-        assert state.p == p
+        assert probs_of(state) == p
         assert_consistent(state, g)
 
 
@@ -594,8 +598,9 @@ def karate_prior(a, b, pi):
 
 class TestMatchesNumpyStateReference:
     """run_chain against numpy_run_chain: the same chains with the labels in
-    a numpy array, the reference adjacency-loop sweep, an exchange that always
-    computes its ratio, and every draw tallied on its own."""
+    a numpy array, the reference's own sweep draws, adjacency-loop sweep and
+    Beta draws, an exchange that always computes its ratio, and every draw
+    tallied on its own. Cases run on karate unless named for dolphins."""
 
     CASES = {
         "pi-0.5": (Hyperparameters.uniform(), dict(
@@ -613,11 +618,15 @@ class TestMatchesNumpyStateReference:
             total_samples=42, burn_in=10, seed=6)),
         "retained-33": (Hyperparameters.uniform(pi=0.3), dict(
             total_samples=43, burn_in=10, seed=7)),
+        # 66 sweeps a block; 600 iterations span ten blocks
+        "dolphins-asymmetric-pi-0.4": (Hyperparameters(
+            a0_11=3.0, b0_11=1.0, a0_12=1.0, b0_12=2.0, a0_22=0.5, b0_22=2.0, pi=0.4),
+            dict(total_samples=600, burn_in=100, seed=8, thin=2, chains=2)),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_draws_and_tallies(self, case):
-        g = load_dataset("karate")
+        g = load_dataset("dolphins" if case.startswith("dolphins") else "karate")
         h, kw = self.CASES[case]
         cfg = ChainConfig(coassign=True, **kw)
         s = run_chain(g, h, cfg)
@@ -643,7 +652,7 @@ class TestChainStates:
         (3.0, 1.0, 0.5), (1.0, 2.0, 2.0), 0.7)], ids=["uniform", "asymmetric"])
     def test_yields_the_retained_states_run_chain_tallies(self, h):
         g, cfg = self.G, self.CFG
-        per_chain = [[(state.p, bytes(state.flags))
+        per_chain = [[(probs_of(state), bytes(state.flags))
                       for state in chain_states(g, h, cfg, chain_index)]
                      for chain_index in range(cfg.chains)]
         assert [len(states) for states in per_chain] == [12, 12]
@@ -722,8 +731,8 @@ class TestScreenedSweep:
         # a fresh screen after every accepted flip
         "drift-0": (Hyperparameters.uniform(pi=0.4), 0, False),
         "u-zero": (Hyperparameters.uniform(), sampler.SCREEN_DRIFT, True),
-        # a hub joined to nodes 1-300, max degree 303: d1 may pass 255, so
-        # each screen reads it through np.fromiter, not bytes()
+        # a hub joined to nodes 1-300, max degree 303: d1 may pass 255, the
+        # largest budget a node's byte holds
         "hub-degree-303": (Hyperparameters.uniform(), sampler.SCREEN_DRIFT, False),
     }
 
@@ -764,7 +773,7 @@ class TestScreenedSweep:
 
         def recording_gibbs(state, h, rng):
             state = gibbs(state, h, rng)
-            probs.extend(state.p)
+            probs.extend(probs_of(state))
             return state
 
         monkeypatch.setattr(sampler, "gibbs_update_probs", recording_gibbs)
