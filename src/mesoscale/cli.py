@@ -172,9 +172,11 @@ def cmd_analyze(args) -> int:
         seed=args.seed, chains=args.chains, coassign=args.coassign)
     require_bins(args.bins)
     g, source = _load_graph(args)
-    # each of the three density histograms keeps a float64 edge and mass per
-    # bin; run_chain checks its own arrays before it allocates them
+    # the three density histograms keep 48 bytes a bin and traces_csv's text 281
+    # a draw (tracemalloc peak, 10**6 draws); run_chain checks its own arrays
     require_memory(48 * args.bins, f"--bins {args.bins}")
+    if args.emit_traces:
+        require_memory(281 * cfg.retained_per_chain * cfg.chains, "--emit-traces")
     t0 = time.perf_counter()
     samples = run_chain(g, h, cfg)
     duration = time.perf_counter() - t0

@@ -35,21 +35,19 @@ The state keeps only n1, M11 and D1 (group 1's degree sum), which a flip of
 i moves by +-1, +-d1 and +-deg_i; the Gibbs draw takes its shapes from them
 (model.group1_counts), and ChainState.c, the {1, 2} labels, is built when read.
 Under a swap-symmetric prior the exchange's ratio is exactly 1 in every
-state, so exchange_groups returns at once. run_chain appends p to an
-array('d') and copies the raw flags (n + 24 bytes a draw) of each state
-chain_states yields, then names the groups so p11 >= p22 and builds every
-tally at once.
+state, so exchange_groups returns at once. run_chain names each state's
+groups so p11 >= p22, appends p to an array('d'), and copies the flags into
+a block of max(1, TALLY_BYTES // n) draws. A full block, and the last, adds
+its column sums and its histogram of row sums to the label and size tallies.
 
 The co-assignment tally counts, for each node pair, the R retained draws
 with c_i == c_j. With y = 2x - 1 the +-1 form of a draw's group-1 flags x,
-[c_i == c_j] = (1 + y_i y_j) / 2, so the tally is (R + Y^T Y) / 2. It is
-built in one float32 (n, n) array (4 n^2 bytes) that starts at R/2: one
-BLAS ssyrk per TALLY_BLOCK draws adds half their Y^T Y to its upper
-triangle, which is then mirrored into the lower one a MIRROR_BLOCK tile at a
-time. Every value on the way is a multiple of 1/2 no larger than R, so
-float32 holds each exactly while R <= 2**23 (COASSIGN_MAX_DRAWS, which
-ChainConfig enforces). Folding a draw negates its y and leaves y y^T as it
-was, so the fold does not touch the tally.
+[c_i == c_j] = (1 + y_i y_j) / 2, so the tally is (R + Y^T Y) / 2, built in
+one float32 (n, n) array (4 n^2 bytes) that starts at R/2. One BLAS ssyrk a
+block adds half its Y^T Y to the upper triangle, mirrored into the lower one
+after the last chain. Every value on the way is a multiple of 1/2 no larger
+than R, so float32 holds each exactly, whatever the blocks, while R <= 2**23
+(COASSIGN_MAX_DRAWS, which ChainConfig enforces).
 
 The sweeps' randomness comes from sweep_draws, one endless iterator per
 chain over the chain's own RNG. For each block of k = max(1, SWEEP_BLOCK // n)
@@ -62,7 +60,7 @@ An iteration on dolphins (62 nodes, 66 sweeps a block, 5% of flips accepted)
 takes about 16 us on one core of a 2-vCPU Xeon: the proposal loop 7.5 us
 (0.1 us a proposal, 3 accepted flips), the draws and two .tolist() 2.3 us,
 the logs of p, bt and other fixed work 2.3 us, the Gibbs draw 3.2 us (1.8
-its three Beta draws), chain_states and run_chain 0.6 us.
+its three Beta draws), chain_states and run_chain's fold, copy and tally 0.6 us.
 
 On a large graph few flips are accepted, and screened_sweep makes the same
 decisions while visiting few proposals. Between two accepted flips the state
@@ -125,7 +123,8 @@ from .model import (
     posterior_shapes,
 )
 
-TALLY_BLOCK = 32  # retained draws per co-assignment BLAS update
+TALLY_BYTES = 2**17  # flag bytes of the retained draws run_chain tallies at once
+DRAW_BYTES = 24 + 18  # p, then classify_structure's temporaries (tracemalloc, 10**6 draws)
 MIRROR_BLOCK = 256  # tile side of the tally's upper-to-lower mirror
 COASSIGN_MAX_DRAWS = 2**23  # float32 holds the tally's half-counts exactly up to here
 SWEEP_BLOCK = 4096  # proposals whose draws sweep_draws makes at once
@@ -212,8 +211,8 @@ class ChainState:
 
 @dataclass
 class PosteriorSamples:
-    """Retained draws and label tallies pooled in chain order; in every draw
-    group 1 is the group with p11 >= p22."""
+    """Retained draws' p in chain order and tallies of their labels, made as
+    the draws came; in every draw group 1 is the group with p11 >= p22."""
 
     draws: np.ndarray                       # (retained, 3) of (p11, p12, p22)
     label_tally: np.ndarray                 # per-node count of draws in group 1
@@ -507,49 +506,47 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     """Run cfg.chains independent chains and pool their retained draws.
 
     chain_states runs each chain, and sweep_draws holds the error state of
-    its logs. This copies p and the flags of every state yielded, then names
-    the groups so p11 >= p22 and tallies at once, with cfg.coassign the
-    float32 co-assignment tally of exact counts (module docstring). Kept
-    states (24 + n bytes each) or a co-assignment tally (4 n^2 bytes) beyond
-    physical memory are refused (ValueError) before the first chain.
+    its logs. Each state yielded is named so p11 >= p22 and tallied as it
+    comes, with cfg.coassign also into the float32 co-assignment tally of
+    exact counts (module docstring). Draws (DRAW_BYTES each) or that tally
+    (4 n^2 bytes) beyond physical memory are refused before the first chain.
     """
     n = g.n
     total_retained = cfg.retained_per_chain * cfg.chains
 
     if cfg.coassign:
         require_memory(4 * n * n, f"co-assignment tally for n={n}")
-    require_memory((24 + n) * total_retained, f"kept states ({total_retained} draws)")
+    require_memory(DRAW_BYTES * total_retained, f"keeping {total_retained} draws")
     ps = array("d")  # p11, p12, p22 of each draw in turn
-    kept = bytearray(total_retained * n)  # the flags of draw r at [r*n, (r+1)*n)
-    chain_acceptance = []
-    pos = 0
-
-    for chain_index in range(cfg.chains):
-        for state in chain_states(g, h, cfg, chain_index):
-            ps.extend((state.p11, state.p12, state.p22))
-            kept[pos * n:(pos + 1) * n] = state.flags
-            pos += 1
-        chain_acceptance.append(  # state as the chain's last iteration left it
-            state.flips_after_burn_in / (n * (cfg.total_samples - cfg.burn_in)))
-
-    assert pos == total_retained
-    draws = np.frombuffer(ps, dtype=np.float64).reshape(total_retained, 3)
-    # name group 1 the group with p11 >= p22 in every draw
-    fold = draws[:, 0] < draws[:, 2]
-    draws[fold] = draws[fold, ::-1]
-    x = np.frombuffer(kept, dtype=np.uint8).reshape(total_retained, n)
-    x ^= fold[:, None]  # in place: no copy of the folded rows
-    label_tally = x.sum(axis=0, dtype=np.int64)
+    rows = max(1, TALLY_BYTES // n)
+    block = bytearray(rows * n)  # the flags of the block's draw k at [k*n, (k+1)*n)
+    label_tally, size_tally = np.zeros(n, np.int64), np.zeros(n + 1, np.int64)
     coassign = None
     if cfg.coassign:
-        # the float32 tally (R + Y^T Y) / 2 of the module docstring; x - 1/2
-        # = y/2 as (n, block) in Fortran order, which ssyrk takes as is
         from scipy.linalg.blas import ssyrk
 
         coassign = np.full((n, n), total_retained / 2, dtype=np.float32, order="F")
-        for start in range(0, total_retained, TALLY_BLOCK):
-            half_y = np.subtract(x[start:start + TALLY_BLOCK].T, 0.5, dtype=np.float32)
-            ssyrk(2.0, half_y, beta=1.0, c=coassign, overwrite_c=1)
+    chain_acceptance = []
+
+    for chain_index in range(cfg.chains):
+        for state in chain_states(g, h, cfg, chain_index):
+            p11, p22, flags = state.p11, state.p22, state.flags
+            if p11 < p22:  # name group 1 the group with p11 >= p22
+                p11, p22, flags = p22, p11, flags.translate(EXCHANGE_FLAGS)
+            k = len(ps) // 3 % rows  # the draw's row in the block
+            block[k * n:(k + 1) * n] = flags
+            ps.extend((p11, state.p12, p22))
+            if k + 1 == rows or len(ps) == 3 * total_retained:
+                x = np.frombuffer(block, dtype=np.uint8, count=(k + 1) * n).reshape(-1, n)
+                label_tally += x.sum(axis=0, dtype=np.int64)
+                size_tally += np.bincount(x.sum(axis=1, dtype=np.int64), minlength=n + 1)
+                if coassign is not None:
+                    half_y = np.subtract(x.T, 0.5, dtype=np.float32)  # y/2 as ssyrk takes it
+                    ssyrk(2.0, half_y, beta=1.0, c=coassign, overwrite_c=1)
+        chain_acceptance.append(  # state as the chain's last iteration left it
+            state.flips_after_burn_in / (n * (cfg.total_samples - cfg.burn_in)))
+
+    if coassign is not None:
         below_diagonal = np.tri(MIRROR_BLOCK, k=-1, dtype=bool)
         for i in range(0, n, MIRROR_BLOCK):
             tile = coassign[i:i + MIRROR_BLOCK, i:i + MIRROR_BLOCK]
@@ -558,9 +555,9 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
                 coassign[j:j + MIRROR_BLOCK, i:i + MIRROR_BLOCK] = \
                     coassign[i:i + MIRROR_BLOCK, j:j + MIRROR_BLOCK].T
     return PosteriorSamples(
-        draws=draws,
+        draws=np.frombuffer(ps, dtype=np.float64).reshape(total_retained, 3),
         label_tally=label_tally,
-        size_tally=np.bincount(x.sum(axis=1, dtype=np.int64), minlength=n + 1),
+        size_tally=size_tally,
         retained=total_retained,
         chain_acceptance=tuple(chain_acceptance),
         coassign_tally=coassign,

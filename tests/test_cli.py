@@ -140,27 +140,32 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv, need", [
         (("--samples", "100000000000", "--burn-in", "0"),
-         "needs 5800000000000 bytes"),
+         "needs 4200000000000 bytes"),
         (("--chains", "100000000", "--samples", "20", "--burn-in", "10"),
-         "needs 58000000000 bytes"),
+         "needs 42000000000 bytes"),
         (("--samples", "100", "--burn-in", "10", "--bins", "100000000000"),
          "needs 4800000000000 bytes"),
-        (("--samples", "414", "--burn-in", "0"), "needs 24012 bytes"),
+        (("--samples", "572", "--burn-in", "0"), "needs 24024 bytes"),
         (("--samples", "100", "--burn-in", "10", "--bins", "500"),
          "needs 24000 bytes"),
-    ], ids=["samples", "chains", "bins", "draws-small", "bins-small"])
+        (("--samples", "100", "--burn-in", "10", "--emit-traces", "traces.csv"),
+         "--emit-traces needs 25290 bytes"),
+    ], ids=["samples", "chains", "bins", "draws-small", "bins-small", "traces-small"])
     def test_arrays_beyond_memory_are_usage_errors(self, monkeypatch, capsys,
-                                                   argv, need):
-        """Retained draws (24 + n bytes each, 58 on karate) and density bins
-        (48 bytes each) beyond physical memory fail with one error line
-        before any sampling."""
+                                                   tmp_path, argv, need):
+        """Retained draws (42 bytes each: p and the verdict's temporaries),
+        density bins (48 bytes each) and the --emit-traces text (281 bytes a
+        draw) beyond physical memory fail with one error line before any
+        sampling."""
         from mesoscale import sampler
         monkeypatch.setattr(sampler, "physical_memory", lambda: 23999)
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
+        monkeypatch.chdir(tmp_path)
         assert run_cli("analyze", "--dataset", "karate", *argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert need in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_prior_is_usage_error(self, monkeypatch, capsys):
         from mesoscale import sampler

@@ -19,7 +19,7 @@ from mesoscale.model import (
 )
 from mesoscale import sampler
 from mesoscale.sampler import (
-    TALLY_BLOCK,
+    DRAW_BYTES,
     ChainConfig,
     ChainState,
     chain_rng,
@@ -570,6 +570,33 @@ class TestRunChain:
                                             seed=11, chains=1))
         assert np.array_equal(pooled.draws[:250], first.draws)
 
+    def test_memory_does_not_grow_with_the_flags_of_each_draw(self, monkeypatch):
+        """On a 1000-node graph the tracemalloc peak at 10 R retained draws
+        exceeds the peak at R by at most DRAW_BYTES a draw plus 64 KiB: each
+        draw's 1000 flag bytes are tallied, not kept. The chain repeats its
+        first state, every other draw folded, as sweeps run about 30 times
+        slower under tracemalloc."""
+        g, _ = generate_sbm(GeneratorSpec(n=1000, sizes=(400, 600),
+                                          p=BlockProbs(0.02, 0.005, 0.01), seed=3))
+        h = Hyperparameters.uniform()
+        state = init_chain(g, h, chain_rng(3, 0))
+
+        def repeated_states(g, h, cfg, chain_index):
+            for _ in range(cfg.retained_per_chain):
+                state.p11, state.p22 = state.p22, state.p11
+                yield state
+
+        monkeypatch.setattr(sampler, "chain_states", repeated_states)
+        R, peaks = 300, []
+        for retained in (R, 10 * R):
+            tracemalloc.start()
+            try:
+                run_chain(g, h, ChainConfig(total_samples=retained + 1, burn_in=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= DRAW_BYTES * 9 * R + 2**16
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="burn-in"):
             ChainConfig(total_samples=100, burn_in=200)
@@ -808,26 +835,36 @@ class TestScreenedSweep:
 
 
 class TestCoassignTally:
-    # (total_samples, burn_in, thin, chains, retained): 300 is not a multiple
-    # of the BLAS block, 30 is below it, 64 fills it exactly twice
-    CONFIGS = [(400, 100, 3, 3, 300), (40, 10, 3, 3, 30),
-               (43, 11, 1, 2, 2 * TALLY_BLOCK)]
+    # (total_samples, burn_in, thin, chains, retained, coassign), tallied in
+    # blocks of 32 draws: 300 is not a multiple of the block, 30 is below it,
+    # 64 fills it exactly twice, and with 2 or 3 chains a block straddles two
+    CONFIGS = [(400, 100, 3, 3, 300, True), (40, 10, 3, 3, 30, True),
+               (43, 11, 1, 2, 64, True), (400, 100, 3, 3, 300, False)]
 
-    @pytest.mark.parametrize("total,burn_in,thin,chains,retained", CONFIGS)
+    @pytest.mark.parametrize(
+        "total,burn_in,thin,chains,retained,coassign", CONFIGS,
+        ids=["400-100-3-3-300", "40-10-3-3-30", "43-11-1-2-64", "without-coassign"])
     def test_matches_recount_from_stored_labels(self, total, burn_in, thin,
-                                                chains, retained,
-                                                run_recording_labels):
+                                                chains, retained, coassign,
+                                                monkeypatch, run_recording_labels):
         g = load_dataset("karate")
         h = Hyperparameters.uniform()
+        monkeypatch.setattr(sampler, "TALLY_BYTES", 32 * g.n)
         s, c = run_recording_labels(g, h, ChainConfig(
             total_samples=total, burn_in=burn_in, thin=thin, chains=chains,
-            seed=8, coassign=True))
+            seed=8, coassign=coassign))
         assert s.retained == retained
-        recount = np.sum(c[:, :, None] == c[:, None, :], axis=0)
-        assert np.array_equal(s.coassign_tally, recount)
+        x = c == 1
+        assert np.array_equal(s.label_tally, x.sum(axis=0))
+        assert np.array_equal(s.size_tally, np.bincount(x.sum(axis=1), minlength=g.n + 1))
+        if coassign:
+            recount = np.sum(c[:, :, None] == c[:, None, :], axis=0)
+            assert np.array_equal(s.coassign_tally, recount)
+        else:
+            assert s.coassign_tally is None
 
     def test_matches_int64_recount_in_partial_blocks_and_tiles(self, monkeypatch):
-        """3 draws per BLAS update and 4-node mirror tiles divide neither the
+        """Tally blocks of 3 draws and 4-node mirror tiles divide neither the
         100 retained draws nor the 23 nodes; the float32 tally still equals
         the reference's int64 count draw by draw."""
         g, _ = generate_sbm(GeneratorSpec(n=23, sizes=(10, 13),
@@ -835,7 +872,7 @@ class TestCoassignTally:
         h = Hyperparameters.uniform()
         cfg = ChainConfig(total_samples=60, burn_in=10, chains=2, seed=9,
                           coassign=True)
-        monkeypatch.setattr(sampler, "TALLY_BLOCK", 3)
+        monkeypatch.setattr(sampler, "TALLY_BYTES", 3 * g.n)
         monkeypatch.setattr(sampler, "MIRROR_BLOCK", 4)
         s = run_chain(g, h, cfg)
         ref = numpy_run_chain(g, h, cfg)
