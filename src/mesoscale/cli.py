@@ -26,7 +26,13 @@ from .inference import (
     require_quadrature,
 )
 from .model import BlockProbs, Hyperparameters
-from .sampler import ChainConfig, require_memory, run_chain
+from .sampler import (
+    ChainConfig,
+    require_memory,
+    require_run_memory,
+    run_chain,
+    run_memory,
+)
 from .synth import GeneratorSpec, SweepSpec, generate_sbm, run_sweep, sweep_table_csv
 
 EXIT_OK = 0
@@ -173,10 +179,12 @@ def cmd_analyze(args) -> int:
     require_bins(args.bins)
     g, source = _load_graph(args)
     # the three density histograms keep 48 bytes a bin and traces_csv's text 281
-    # a draw (tracemalloc peak, 10**6 draws); run_chain checks its own arrays
-    require_memory(48 * args.bins, f"--bins {args.bins}")
+    # a draw (tracemalloc peak, 10**6 draws), next to run_chain's own arrays
+    parts = run_memory(g.n, cfg)
+    parts[f"--bins {args.bins}"] = 48 * args.bins
     if args.emit_traces:
-        require_memory(281 * cfg.retained_per_chain * cfg.chains, "--emit-traces")
+        parts["--emit-traces"] = 281 * cfg.retained_per_chain * cfg.chains
+    require_run_memory(parts)
     t0 = time.perf_counter()
     samples = run_chain(g, h, cfg)
     duration = time.perf_counter() - t0

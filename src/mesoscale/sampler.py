@@ -27,10 +27,16 @@ per edge and per non-edge of moving a pair from block 11 to 12 (12 to 22):
 
     a   = (w1 - v1) - (w2 - v2)
     b_i = deg_i*(w2 - v2) - log_odds
-    k1  = (n1 - 1)*v1 + (n - n1)*v2,   k0 = -(n - n1 - 1)*v2 - n1*v1
+    k1  = (n1 - 1)*v1 + (n - n1)*v2 = c1 + s*n1
+    k0  = -(n - n1 - 1)*v2 - n1*v1  = c0 - s*n1
 
-a is fixed by p, b_i = bt[deg_i] from a per-sweep list over the degrees, and
-k1, k0 change only when a flip is accepted, which it is when log u < delta.
+    s = v1 - v2,   c1 = n*v2 - v1,   c0 = -(n - 1)*v2
+
+a, s, c1 and c0 are fixed by p, b_i = bt[deg_i] from a per-sweep list over
+the degrees, and k1, k0 change only when a flip is accepted, which it is
+when log u < delta. Both sweep loops hold n1 as a float and take k1, k0 from
+t = s*n1 in the one expression c1 + t, c0 - t, at the sweep's start and
+after each accepted flip, so their k values are the same floats.
 The state keeps only n1, M11 and D1 (group 1's degree sum), which a flip of
 i moves by +-1, +-d1 and +-deg_i; the Gibbs draw takes its shapes from them
 (model.group1_counts), and ChainState.c, the {1, 2} labels, is built when read.
@@ -58,9 +64,13 @@ the RNG stream than one sweep at a time would.
 
 An iteration on dolphins (62 nodes, 66 sweeps a block, 5% of flips accepted)
 takes about 16 us on one core of a 2-vCPU Xeon: the proposal loop 7.5 us
-(0.1 us a proposal, 3 accepted flips), the draws and two .tolist() 2.3 us,
-the logs of p, bt and other fixed work 2.3 us, the Gibbs draw 3.2 us (1.8
-its three Beta draws), chain_states and run_chain's fold, copy and tally 0.6 us.
+(0.12 us a proposal, 3 accepted flips), the draws and two .tolist() 2.3 us,
+the logs of p and bt 1.8 us, the Gibbs draw 3.3 us, chain_states, the
+exchange and run_chain's fold, copy and tally 0.9 us. On a 100-node SBM of
+the p12 sweep's shape at p12 = 0.125 (40 sweeps a block, 45% of flips
+accepted) a sweep takes about 42 us, most of it the accepted flips'
+neighbour updates, and one simulate fit of 1500 iterations, the graph and
+the verdict included, about 70 ms.
 
 On a large graph few flips are accepted, and screened_sweep makes the same
 decisions while visiting few proposals. Between two accepted flips the state
@@ -68,11 +78,12 @@ is fixed, so one numpy pass, a screen, computes every later proposal's margin
 delta - log u at the state it finds, from the loop's own terms: a*d1 + b,
 then x + k1 or k0 - x. A proposal's delta can move from its screened value
 for two reasons only. (i) Each neighbour flip since the screen moves d1 by 1
-and delta by |a|. (ii) k1 and k0 are linear in n1 with slope +-(v1 - v2), so
-a net change D of the group-1 size moves them by |D| |v1 - v2|; flips in
-opposite directions cancel. With tolerance T = SCREEN_DRIFT |v1 - v2| + slack,
-a proposal with margin <= -T is a certain rejection while |D| <= SCREEN_DRIFT
-and its node has seen at most B = floor((-T - margin) / |a|) neighbour flips.
+and delta by |a|. (ii) k1 = c1 + s*n1 and k0 = c0 - s*n1 are linear in n1
+with slope +-s = +-(v1 - v2), so a net change D of the group-1 size moves
+them by |D| |s|; flips in opposite directions cancel. With tolerance
+T = SCREEN_DRIFT |s| + slack, a proposal with margin <= -T is a certain
+rejection while |D| <= SCREEN_DRIFT and its node has seen at most
+B = floor((-T - margin) / |a|) neighbour flips.
 The screen reads d1 as np.frombuffer(struct.Struct(f"{n}d").pack(*d1)), 18 us
 at n = 3000 (np.array(d1) takes 78), and gives each node that budget (at
 most 255) in a bytearray. The walk finds with bytearray.find the positions
@@ -291,10 +302,12 @@ def label_sweep(
 
     n, adjacency, degrees = g.n, g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
-    n1, M11, D1 = state.n1, state.M11, state.D1
-    k1 = (n1 - 1) * v1 + (n - n1) * v2
-    k0 = -(n - n1 - 1) * v2 - n1 * v1
-    bt = [(w2 - v2) * k - h.log_odds for k in g.degree_range]
+    n1, M11, D1 = float(state.n1), state.M11, state.D1
+    s, c1, c0 = v1 - v2, n * v2 - v1, -(n - 1) * v2
+    t = s * n1
+    k1, k0 = c1 + t, c0 - t
+    per_degree, log_odds = w2 - v2, h.log_odds
+    bt = [per_degree * k - log_odds for k in g.degree_range]
     accepted = 0
 
     for i, log_u in zip(order.tolist(), log_us.tolist()):
@@ -318,10 +331,10 @@ def label_sweep(
             for j in adjacency[i]:
                 d1s[j] += 1.0
         accepted += 1
-        k1 = (n1 - 1) * v1 + (n - n1) * v2
-        k0 = -(n - n1 - 1) * v2 - n1 * v1
+        t = s * n1
+        k1, k0 = c1 + t, c0 - t
 
-    state.n1, state.M11, state.D1 = n1, int(M11), D1
+    state.n1, state.M11, state.D1 = int(n1), int(M11), D1
     state.sweep_flips = accepted
     return state, accepted
 
@@ -343,16 +356,17 @@ def screened_sweep(
     """
     n, adjacency, degrees = g.n, g.adjacency, g.degrees
     flags, d1s = state.flags, state.d1
-    n1, M11, D1 = state.n1, state.M11, state.D1
-    k1 = (n1 - 1) * v1 + (n - n1) * v2
-    k0 = -(n - n1 - 1) * v2 - n1 * v1
+    n1, M11, D1 = float(state.n1), state.M11, state.D1
+    s, c1, c0 = v1 - v2, n * v2 - v1, -(n - 1) * v2  # label_sweep's k terms
+    t = s * n1
+    k1, k0 = c1 + t, c0 - t
     accepted = 0
 
     bs = (w2 - v2) * g.degree_array[order] - h.log_odds  # b in visiting order
     max_degree = int(g.degree_array.max())
     slack = SCREEN_SLACK * (1.0 + n * (abs(v1) + abs(v2))
                             + (abs(a) + abs(w2 - v2)) * max_degree + abs(h.log_odds))
-    tolerance = SCREEN_DRIFT * abs(v1 - v2) + slack
+    tolerance = SCREEN_DRIFT * abs(s) + slack
     # any per_flip <= 1/|a| gives safe budgets; the floor keeps it finite
     per_flip = 1.0 / max(abs(a), tolerance / 256)
     position = np.empty(n, dtype=np.intp)
@@ -407,14 +421,14 @@ def screened_sweep(
                     else:
                         cand[position.item(j)] = 1
             accepted += 1
-            k1 = (n1 - 1) * v1 + (n - n1) * v2
-            k0 = -(n - n1 - 1) * v2 - n1 * v1
+            t = s * n1
+            k1, k0 = c1 + t, c0 - t
             if abs(n1 - n1_screen) > SCREEN_DRIFT:
                 start = k + 1
                 break
             k = cand.find(1, k + 1)
 
-    state.n1, state.M11, state.D1 = n1, int(M11), D1
+    state.n1, state.M11, state.D1 = int(n1), int(M11), D1
     return accepted
 
 
@@ -480,6 +494,23 @@ def require_memory(need: float, what: str) -> None:
         )
 
 
+def run_memory(n: int, cfg: ChainConfig) -> dict[str, int]:
+    """Bytes run_chain keeps for cfg on an n-node graph, by what keeps them:
+    DRAW_BYTES a retained draw and, under cfg.coassign, the 4 n^2 tally."""
+    retained = cfg.retained_per_chain * cfg.chains
+    parts = {f"{retained} draws": DRAW_BYTES * retained}
+    if cfg.coassign:
+        parts[f"co-assignment tally for n={n}"] = 4 * n * n
+    return parts
+
+
+def require_run_memory(parts: dict[str, int]) -> None:
+    """Refuse (ValueError) a run whose parts, bytes by what keeps them, do not
+    fit in physical memory together; the one line names the sum and each part."""
+    require_memory(sum(parts.values()), "the run (" + ", ".join(
+        f"{what}: {need}" for what, need in parts.items()) + ")")
+
+
 def chain_states(
     g: Graph, h: Hyperparameters, cfg: ChainConfig, chain_index: int
 ) -> Iterator[ChainState]:
@@ -508,15 +539,14 @@ def run_chain(g: Graph, h: Hyperparameters, cfg: ChainConfig) -> PosteriorSample
     chain_states runs each chain, and sweep_draws holds the error state of
     its logs. Each state yielded is named so p11 >= p22 and tallied as it
     comes, with cfg.coassign also into the float32 co-assignment tally of
-    exact counts (module docstring). Draws (DRAW_BYTES each) or that tally
-    (4 n^2 bytes) beyond physical memory are refused before the first chain.
+    exact counts (module docstring). Draws (DRAW_BYTES each) and that tally
+    (4 n^2 bytes) beyond physical memory together are refused before the
+    first chain (run_memory).
     """
     n = g.n
     total_retained = cfg.retained_per_chain * cfg.chains
 
-    if cfg.coassign:
-        require_memory(4 * n * n, f"co-assignment tally for n={n}")
-    require_memory(DRAW_BYTES * total_retained, f"keeping {total_retained} draws")
+    require_run_memory(run_memory(n, cfg))
     ps = array("d")  # p11, p12, p22 of each draw in turn
     rows = max(1, TALLY_BYTES // n)
     block = bytearray(rows * n)  # the flags of the block's draw k at [k*n, (k+1)*n)

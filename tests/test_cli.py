@@ -136,29 +136,35 @@ class TestAnalyze:
         monkeypatch.setattr(sampler, "physical_memory", lambda: 1024)
         assert run_cli("analyze", "--dataset", "karate", "--samples", "100",
                        "--burn-in", "10", "--bins", "2", "--coassign") == 1
-        assert f"needs {4 * 34 * 34} bytes" in capsys.readouterr().err
+        # summed with the 90 draws' 3780 bytes and the bins' 96
+        assert f"needs {4 * 34 * 34 + 3780 + 96} bytes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, need", [
-        (("--samples", "100000000000", "--burn-in", "0"),
-         "needs 4200000000000 bytes"),
-        (("--chains", "100000000", "--samples", "20", "--burn-in", "10"),
-         "needs 42000000000 bytes"),
-        (("--samples", "100", "--burn-in", "10", "--bins", "100000000000"),
-         "needs 4800000000000 bytes"),
-        (("--samples", "572", "--burn-in", "0"), "needs 24024 bytes"),
-        (("--samples", "100", "--burn-in", "10", "--bins", "500"),
-         "needs 24000 bytes"),
-        (("--samples", "100", "--burn-in", "10", "--emit-traces", "traces.csv"),
-         "--emit-traces needs 25290 bytes"),
-    ], ids=["samples", "chains", "bins", "draws-small", "bins-small", "traces-small"])
+    @pytest.mark.parametrize("argv, have, need", [
+        (("--samples", "100000000000", "--burn-in", "0"), 23999,
+         "needs 4200000002400 bytes"),
+        (("--chains", "100000000", "--samples", "20", "--burn-in", "10"), 23999,
+         "needs 42000002400 bytes"),
+        (("--samples", "100", "--burn-in", "10", "--bins", "100000000000"), 23999,
+         "needs 4800000003780 bytes"),
+        (("--samples", "572", "--burn-in", "0"), 23999, "needs 26424 bytes"),
+        (("--samples", "100", "--burn-in", "10", "--bins", "500"), 23999,
+         "needs 27780 bytes"),
+        (("--samples", "100", "--burn-in", "10", "--emit-traces", "traces.csv"), 23999,
+         "--emit-traces: 25290) needs 31470 bytes"),
+        # each part fits alone (3780, 2400 and 25290 bytes), their sum does not
+        (("--samples", "100", "--burn-in", "10", "--emit-traces", "traces.csv"), 30000,
+         "the run (90 draws: 3780, --bins 50: 2400, --emit-traces: 25290) "
+         "needs 31470 bytes"),
+    ], ids=["samples", "chains", "bins", "draws-small", "bins-small", "traces-small",
+            "parts-fit-alone"])
     def test_arrays_beyond_memory_are_usage_errors(self, monkeypatch, capsys,
-                                                   tmp_path, argv, need):
+                                                   tmp_path, argv, have, need):
         """Retained draws (42 bytes each: p and the verdict's temporaries),
         density bins (48 bytes each) and the --emit-traces text (281 bytes a
-        draw) beyond physical memory fail with one error line before any
-        sampling."""
+        draw) beyond physical memory together fail with one error line, which
+        names their sum, before any sampling."""
         from mesoscale import sampler
-        monkeypatch.setattr(sampler, "physical_memory", lambda: 23999)
+        monkeypatch.setattr(sampler, "physical_memory", lambda: have)
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
         monkeypatch.chdir(tmp_path)
         assert run_cli("analyze", "--dataset", "karate", *argv) == 1

@@ -22,6 +22,11 @@ quadrature_error in its last digit and left the verdict's bytes unchanged.
 The dolphins analyze case and the 100-node simulate case, where many flips
 are accepted, were pinned before the sweep began to hold its neighbour
 counts as floats; that change left every hash here as it was.
+
+The default-length simulate case, one 1500-iteration fit at p12 = 0.125 on
+100 nodes, was pinned before k1 and k0 were taken as c1 + s*n1 and
+c0 - s*n1 (sampler module docstring). That form rounds differently from the
+one it replaced, and it moved no hash here.
 """
 
 import hashlib
@@ -66,6 +71,14 @@ CASES = {
     ], {
         "sweep.csv": "3f42bff423895d346fa6a20b0a426108dd6d548a87f261cc627cb270a755432c",
         "raw.csv": "e20703ca6fec2ed5926e0a0e5f4509c7a2d9c9866db872f2bbecd57ef07430ef",
+    }),
+    # one fit of simulate-p12's default length at its highest-acceptance point
+    "simulate-n-100-default-length": ([
+        "simulate", "--n", "100", "--grid", "0.125", "--replicates", "1",
+        "--samples", "1500", "--burn-in", "500", "--seed", "11",
+    ], {
+        "sweep.csv": "acb24b6732b6f430cc3299867185cf6e4222e4f34016307217913b2d81582c0a",
+        "raw.csv": "11a6b8b86cfa10e678b07ffb183cc9ff42effc2218b8bee1bce1c4fe6dc22d25",
     }),
     "oracle-sbm-14-pi-0.2": ([
         "oracle", "sbm.edges", "--nodes", "sbm.nodes", "--pi", "0.2",

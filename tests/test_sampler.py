@@ -190,10 +190,15 @@ class TestLabelSweep:
         (Graph.from_edges(generate_sbm(GeneratorSpec(
             n=60, sizes=(30, 30), p=BlockProbs(0.5, 0.5, 0.5), seed=5)
         )[0].edges(), n=60), None, True, None),
+        # simulate-p12's shape at its p12 = 0.125 point: about 40% of the
+        # flips are accepted, so the k terms are checked over 8000 flips
+        (Graph.from_edges(generate_sbm(GeneratorSpec(
+            n=100, sizes=(40, 60), p=BlockProbs(0.2, 0.125, 0.1), seed=14)
+        )[0].edges(), n=100), None, True, None),
     ], ids=["karate", "dolphins", "sbm-200-isolated", "single-node",
             "p12-zero", "karate-p-at-0-and-1", "karate-flat-half",
             "dolphins-pi-0.7", "karate-asymmetric-pi-0.85",
-            "dolphins-asymmetric", "dense-60"])
+            "dolphins-asymmetric", "dense-60", "sbm-100-p12-0.125"])
     def test_matches_adjacency_loop_state_for_state(self, g, p, update_p, prior):
         h = prior or Hyperparameters.uniform(pi=0.4)
         states, rngs = [], []
@@ -916,7 +921,7 @@ class TestCoassignTally:
         h = Hyperparameters.uniform()
         monkeypatch.setattr(sampler, "physical_memory", lambda: 4 * 10 * 10 - 1)
         monkeypatch.setattr(sampler, "init_chain", None)  # must not be reached
-        with pytest.raises(ValueError, match="needs 400 bytes"):
+        with pytest.raises(ValueError, match="needs 1240 bytes"):  # 400 + 20 draws
             run_chain(g, h, ChainConfig(total_samples=20, burn_in=0,
                                         coassign=True))
 
